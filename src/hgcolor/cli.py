@@ -25,16 +25,16 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
+    _mc_asdict,
     bound_table,
     bound_table_to_csv,
-    report_to_csv,
-    report_to_json,
     run_experiment,
     svg_plot,
+    write_report_files,
 )
 from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
 from .greedy import greedy_color, sample_birth_times, two_phase_color
-from .hypergraph import is_proper, read_hypergraph, validate, write_hypergraph
+from .hypergraph import is_proper, read_hypergraph, write_hypergraph
 from .montecarlo import monte_carlo
 from .oracle import (
     DEFAULT_ORACLE_BUDGET,
@@ -51,14 +51,17 @@ EXIT_IO = 4
 
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else fallback
+    if not raw:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _load(path: str):
     h = read_hypergraph(path)
-    errors = [v for v in validate(h) if v.severity == "error"]
-    if errors:
-        raise InvalidHypergraphError("; ".join(v.message for v in errors))
+    h.require_valid()
     return h
 
 
@@ -114,11 +117,7 @@ def _cmd_mc(args) -> int:
         workers=args.workers,
         chain_ceiling=args.chain_ceiling,
     )
-    d = asdict(report)
-    d["wilson95"] = list(d["wilson95"])
-    d["wilson99"] = list(d["wilson99"])
-    if d["interval_counts"] is not None:
-        d["interval_counts"] = list(d["interval_counts"])
+    d = _mc_asdict(report)
     if args.format == "csv":
         keys = sorted(d)
         buf = io.StringIO()
@@ -213,21 +212,7 @@ def _cmd_experiment(args) -> int:
             run_oracle=not args.no_oracle,
         )
     report = run_experiment(config)
-    os.makedirs(args.outdir, exist_ok=True)
-    json_path = os.path.join(args.outdir, "report.json")
-    csv_path = os.path.join(args.outdir, "report.csv")
-    with open(json_path, "w", newline="\n") as fh:
-        fh.write(report_to_json(report))
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(report_to_csv(report))
-    if args.plot:
-        est = report.mc.get("estimate")
-        if est is not None:
-            svg_path = os.path.join(args.outdir, "report.svg")
-            with open(svg_path, "w", newline="\n") as fh:
-                fh.write(
-                    svg_plot({"estimate": [(0.0, est), (1.0, est)]}, "success estimate")
-                )
+    json_path, csv_path = write_report_files(report, args.outdir, plot=args.plot)[:2]
     print(f"wrote {json_path} and {csv_path}")
     if report.invariant_violations:
         for msg in report.invariant_violations:
@@ -322,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed budget or ceiling variable
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -9,7 +9,7 @@ exact for the given assignment; probabilities live in :mod:`hgcolor.bounds`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ChainCeilingError
 from .hypergraph import BirthTimeAssignment, Hypergraph
@@ -59,11 +59,7 @@ class IntervalPartition:
 def first_last(edge: Iterable[int], t: BirthTimeAssignment) -> tuple[int, int]:
     """The edge's vertices with smallest and largest birth time (index ties
     broken ascending)."""
-    verts = list(edge)
-    if not verts:
-        raise ValueError("empty edge has no first or last vertex")
-    first = min(verts, key=lambda v: (t[v], v))
-    last = max(verts, key=lambda v: (t[v], v))
+    (first,), (last,) = _firsts_lasts([sorted(edge)], t.times)
     return first, last
 
 
@@ -88,20 +84,32 @@ def dangerous_pairs(h: Hypergraph) -> list[tuple[int, int]]:
 
 
 def _firsts_lasts(
-    h: Hypergraph, t: BirthTimeAssignment
+    edges: Sequence[Sequence[int]], times: Sequence[float]
 ) -> tuple[list[int], list[int]]:
+    """First and last vertex of each sorted edge under `times`."""
     firsts, lasts = [], []
-    for e in h.edges:
-        f, l = first_last(e, t)
-        firsts.append(f)
-        lasts.append(l)
+    for e in edges:
+        if not e:
+            raise ValueError("empty edge has no first or last vertex")
+        fv = lv = e[0]
+        ft = lt = times[fv]
+        for u in e[1:]:
+            # e is sorted, so on ties the earlier vertex stays first
+            # and the later one becomes last
+            tu = times[u]
+            if tu < ft:
+                ft, fv = tu, u
+            if tu >= lt:
+                lt, lv = tu, u
+        firsts.append(fv)
+        lasts.append(lv)
     return firsts, lasts
 
 
 def conflicting_pairs(h: Hypergraph, t: BirthTimeAssignment) -> list[tuple[int, int]]:
     """Ordered pairs (e, f) where the last vertex of e is the first vertex
     of f. Such pairs share exactly that vertex, so they are dangerous."""
-    firsts, lasts = _firsts_lasts(h, t)
+    firsts, lasts = _firsts_lasts(h.edges, t.times)
     by_first: dict[int, list[int]] = {}
     for fi, v in enumerate(firsts):
         by_first.setdefault(v, []).append(fi)
@@ -176,8 +184,18 @@ def conflicting_chains(
     """
     if r < 2:
         raise ValueError(f"chains need r >= 2 edges, got {r}")
-    sets = h.edge_sets
-    firsts, lasts = _firsts_lasts(h, t)
+    firsts, lasts = _firsts_lasts(h.edges, t.times)
+    return _chains_from(h.edge_sets, firsts, lasts, r, ceiling)
+
+
+def _chains_from(
+    sets: Sequence[frozenset[int]],
+    firsts: Sequence[int],
+    lasts: Sequence[int],
+    r: int,
+    ceiling: int,
+) -> list[Chain]:
+    """The conflicting r-chains given each edge's first and last vertex."""
     by_first: dict[int, list[int]] = {}
     for fi, v in enumerate(firsts):
         by_first.setdefault(v, []).append(fi)
@@ -241,7 +259,7 @@ def classify_conflicts_by_interval(
 ) -> IntervalConflictCounts:
     """Count conflicting pairs by the interval holding their common vertex."""
     counts = {"B": 0, "P": 0, "R": 0}
-    _, lasts = _firsts_lasts(h, t)
+    _, lasts = _firsts_lasts(h.edges, t.times)
     for (ei, _fi) in conflicting_pairs(h, t):
         counts[partition.locate(t[lasts[ei]])] += 1
     return IntervalConflictCounts(counts["B"], counts["P"], counts["R"])

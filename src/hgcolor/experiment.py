@@ -103,7 +103,11 @@ def bound_table(n_values: list[int], r_values: list[int]) -> list[BoundRow]:
     """Certified edge-count coefficients and LLL degrees per (n, r).
 
     Numeric range failures mark the cell; the table always completes.
+    Edge sizes n < 2 have no reference scale n/ln(n) and are rejected.
     """
+    for n in n_values:
+        if n < 2:
+            raise ValueError(f"bound table needs edge sizes n >= 2, got n={n}")
     rows = []
     for n in n_values:
         for r in r_values:

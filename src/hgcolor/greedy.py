@@ -7,6 +7,11 @@ colored). When every color is blocked the vertex takes color r and is
 recorded as forced. Variants: an explicit-permutation driver, a two-phase
 precolor-then-greedy scheme for two colors, and a random equitable-partition
 baseline.
+
+That rule lives in one place, the private edge state ``_EdgeState``: every
+sweep here, the Monte Carlo trial engine (through :func:`greedy_succeeds`)
+and the exact oracles in :mod:`hgcolor.oracle` decide blocked colors and
+update edges through it.
 """
 
 from __future__ import annotations
@@ -42,50 +47,96 @@ def sample_birth_times(vertex_count: int, rng_seed: int) -> BirthTimeAssignment:
     return BirthTimeAssignment(rng.random(vertex_count).tolist())
 
 
+class _EdgeState:
+    """Per-edge state of a partial coloring: the color the edge has seen
+    (_NONE, _MIXED or one color j) and how many of its vertices are
+    uncolored.
+
+    A color j is blocked for v exactly when v is the last uncolored vertex of
+    an edge whose other vertices all have color j; an edge made of v alone
+    blocks every color. Blocked sets are bitmasks with bit j for color j.
+    """
+
+    __slots__ = ("incidence", "seen", "left", "all_blocked")
+
+    def __init__(self, h: Hypergraph, r: int):
+        self.incidence = h.incidence
+        self.seen = [_NONE] * h.edge_count
+        self.left = list(h.edge_sizes)
+        self.all_blocked = ((1 << r) - 1) << 1
+
+    def blocked(self, v: int) -> int:
+        """Bitmask of the colors that would complete a monochromatic edge."""
+        seen, left = self.seen, self.left
+        mask = 0
+        for ei in self.incidence[v]:
+            if left[ei] == 1:
+                c = seen[ei]
+                if c > 0:
+                    mask |= 1 << c
+                elif c == _NONE:
+                    return self.all_blocked
+        return mask
+
+    def save(self, v: int) -> list[int]:
+        """The seen colors of v's edges, for a later unplace(v, saved)."""
+        seen = self.seen
+        return [seen[ei] for ei in self.incidence[v]]
+
+    def place(self, v: int, j: int) -> None:
+        """Color the uncolored vertex v with j."""
+        seen, left = self.seen, self.left
+        for ei in self.incidence[v]:
+            left[ei] -= 1
+            c = seen[ei]
+            if c == _NONE:
+                seen[ei] = j
+            elif c != j:
+                seen[ei] = _MIXED
+
+    def unplace(self, v: int, saved: list[int]) -> None:
+        """Undo place(v, j), given save(v) taken just before it."""
+        seen, left = self.seen, self.left
+        for ei, c in zip(self.incidence[v], saved):
+            left[ei] += 1
+            seen[ei] = c
+
+
+def _first_free(blocked: int) -> int:
+    """Smallest color whose bit is clear in a mask that is not all_blocked.
+
+    Bit 0 is never set, so blocked + 2 carries through exactly the run of
+    blocked colors 1, 2, ... and lands on the first free one.
+    """
+    return ((blocked + 2) & ~blocked).bit_length() - 1
+
+
 def _run(
-    h: Hypergraph,
+    state: _EdgeState,
     order: Sequence[int],
     r: int,
     colors: list[int],
-    edge_seen: list[int],
-    edge_colored: list[int],
+    stop_at_forced: bool = False,
 ) -> list[int]:
-    """Greedy rule over `order`; mutates the three state arrays in place.
+    """Greedy rule over `order`, writing colors[v] and updating `state`.
 
-    colors[v] == 0 means uncolored; edge state may be pre-seeded (two-phase).
-    Returns the forced vertices in processing order.
+    The state may be pre-seeded (two-phase). Returns the forced vertices in
+    processing order; with stop_at_forced the sweep ends at the first one.
     """
-    incidence = h.incidence
-    sizes = h.edge_sizes
-    all_blocked = ((1 << r) - 1) << 1
+    all_blocked = state.all_blocked
+    blocked_of, place = state.blocked, state.place
     forced: list[int] = []
     for v in order:
-        blocked = 0
-        for ei in incidence[v]:
-            if edge_colored[ei] == sizes[ei] - 1:
-                c = edge_seen[ei]
-                if c > 0:
-                    blocked |= 1 << c
-                elif c == _NONE:
-                    # v is the whole edge: any color completes it
-                    blocked = all_blocked
-                    break
-        choice = r
-        if blocked != all_blocked:
-            for j in range(1, r + 1):
-                if not blocked & (1 << j):
-                    choice = j
-                    break
-        else:
+        blocked = blocked_of(v)
+        if blocked == all_blocked:
             forced.append(v)
+            if stop_at_forced:
+                break
+            choice = r
+        else:
+            choice = _first_free(blocked)
         colors[v] = choice
-        for ei in incidence[v]:
-            edge_colored[ei] += 1
-            c = edge_seen[ei]
-            if c == _NONE:
-                edge_seen[ei] = choice
-            elif c != choice:
-                edge_seen[ei] = _MIXED
+        place(v, choice)
     return forced
 
 
@@ -98,9 +149,7 @@ def greedy_color_by_permutation(h: Hypergraph, order: Sequence[int], r: int) -> 
     if sorted(order) != list(range(h.vertex_count)):
         raise ValueError("order is not a permutation of all vertices")
     colors = [0] * h.vertex_count
-    edge_seen = [_NONE] * h.edge_count
-    edge_colored = [0] * h.edge_count
-    forced = _run(h, order, r, colors, edge_seen, edge_colored)
+    forced = _run(_EdgeState(h, r), order, r, colors)
     return GreedyTrace(Coloring(colors, r), tuple(forced), order)
 
 
@@ -120,35 +169,8 @@ def greedy_succeeds(h: Hypergraph, order: Sequence[int], r: int) -> bool:
     vertices colored r, completing a monochromatic edge; conversely a
     monochromatic edge has color r and its last vertex was forced.)
     """
-    incidence = h.incidence
-    sizes = h.edge_sizes
-    edge_seen = [_NONE] * h.edge_count
-    edge_colored = [0] * h.edge_count
-    all_blocked = ((1 << r) - 1) << 1
-    for v in order:
-        blocked = 0
-        for ei in incidence[v]:
-            if edge_colored[ei] == sizes[ei] - 1:
-                c = edge_seen[ei]
-                if c > 0:
-                    blocked |= 1 << c
-                elif c == _NONE:
-                    return False
-        if blocked == all_blocked:
-            return False
-        choice = r
-        for j in range(1, r + 1):
-            if not blocked & (1 << j):
-                choice = j
-                break
-        for ei in incidence[v]:
-            edge_colored[ei] += 1
-            c = edge_seen[ei]
-            if c == _NONE:
-                edge_seen[ei] = choice
-            elif c != choice:
-                edge_seen[ei] = _MIXED
-    return True
+    colors = [0] * h.vertex_count
+    return not _run(_EdgeState(h, r), order, r, colors, stop_at_forced=True)
 
 
 def two_phase_color(
@@ -169,8 +191,7 @@ def two_phase_color(
     h.require_valid()
     lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
     colors = [0] * h.vertex_count
-    edge_seen = [_NONE] * h.edge_count
-    edge_colored = [0] * h.edge_count
+    state = _EdgeState(h, r)
     precolored: list[int] = []
     middle: list[int] = []
     for v in t.order():
@@ -183,14 +204,8 @@ def two_phase_color(
             middle.append(v)
             continue
         precolored.append(v)
-        for ei in h.incidence[v]:
-            edge_colored[ei] += 1
-            c = edge_seen[ei]
-            if c == _NONE:
-                edge_seen[ei] = colors[v]
-            elif c != colors[v]:
-                edge_seen[ei] = _MIXED
-    forced = _run(h, middle, r, colors, edge_seen, edge_colored)
+        state.place(v, colors[v])
+    forced = _run(state, middle, r, colors)
     return GreedyTrace(Coloring(colors, r), tuple(forced), tuple(precolored + middle))
 
 

@@ -5,21 +5,27 @@ Trial i always draws its birth times from a child generator derived from
 are integer sums, which merge exactly in any order. Proportions carry 95%
 and 99% Wilson intervals (well behaved at estimates of 0 and 1, which
 non-colorable and trivially colorable instances produce).
+
+A trial decides success with :func:`hgcolor.greedy.greedy_succeeds` and
+takes first/last vertices, short edges and conflicting chains from the
+routines in :mod:`hgcolor.conflicts`; it keeps no copy of either.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+from collections import Counter
 from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
 from scipy.special import ndtri
 
-from .conflicts import DEFAULT_CHAIN_CEILING, conflicting_chains
+from .conflicts import DEFAULT_CHAIN_CEILING, _chains_from, _firsts_lasts
 from .errors import ChainCeilingError
-from .greedy import equitable_partition_color
-from .hypergraph import BirthTimeAssignment, Hypergraph, uniformity
+from .greedy import equitable_partition_color, greedy_succeeds
+from .hypergraph import Hypergraph, uniformity
 
 Z95 = float(ndtri(0.975))
 Z99 = float(ndtri(0.995))
@@ -111,96 +117,49 @@ class _TrialEngine:
         self.count_pairs = count_pairs
         self.count_chains = count_chains
         self.chain_ceiling = chain_ceiling
-        self.incidence = h.incidence
-        self.sizes = h.edge_sizes
-        self.edges = tuple(tuple(sorted(set(e))) for e in h.edges)
         self.v_count = h.vertex_count
-        self.m = h.edge_count
-        self.all_blocked = ((1 << r) - 1) << 1
         self.short_threshold = None if p is None else (1.0 - p) / r
         if p is not None:
             self.part_lo = (1.0 - p) / 2.0
             self.part_hi = (1.0 + p) / 2.0
-
-    def greedy_ok(self, times: list[float]) -> bool:
-        order = sorted(range(self.v_count), key=lambda u: (times[u], u))
-        edge_seen = [0] * self.m
-        edge_colored = [0] * self.m
-        r = self.r
-        for v in order:
-            blocked = 0
-            for ei in self.incidence[v]:
-                if edge_colored[ei] == self.sizes[ei] - 1:
-                    c = edge_seen[ei]
-                    if c > 0:
-                        blocked |= 1 << c
-                    elif c == 0:
-                        return False
-            if blocked == self.all_blocked:
-                return False
-            choice = r
-            for j in range(1, r + 1):
-                if not blocked & (1 << j):
-                    choice = j
-                    break
-            for ei in self.incidence[v]:
-                edge_colored[ei] += 1
-                c = edge_seen[ei]
-                if c == 0:
-                    edge_seen[ei] = choice
-                elif c != choice:
-                    edge_seen[ei] = -1
-        return True
+        # a singleton edge is its own first and last; (e, e) is not a pair
+        self.singletons = Counter(e[0] for e in h.edges if len(e) == 1)
 
     def run(self, times: list[float]) -> tuple[int, int, int, int, int, int, int, int]:
         """One trial: (success, pairs, short, b, p_mid, r_int, chains, ceiling_flag)."""
-        success = 1 if self.greedy_ok(times) else 0
+        # a stable sort by time alone breaks ties by ascending index
+        order = sorted(range(self.v_count), key=times.__getitem__)
+        success = 1 if greedy_succeeds(self.h, order, self.r) else 0
         n_pairs = n_short = cb = cp = cr = 0
         n_chains = flag = 0
-        if self.count_pairs or self.short_threshold is not None:
-            firsts: dict[int, int] = {}
-            lasts: dict[int, int] = {}
-            for ei, e in enumerate(self.edges):
-                fv = lv = e[0]
-                ft = lt = times[fv]
-                for u in e[1:]:
-                    # e is sorted, so on ties the earlier vertex stays first
-                    # and the later one becomes last
-                    tu = times[u]
-                    if tu < ft:
-                        ft, fv = tu, u
-                    if tu >= lt:
-                        lt, lv = tu, u
-                if self.short_threshold is not None and lt - ft < self.short_threshold:
+        if not (self.count_pairs or self.count_chains or self.short_threshold is not None):
+            return success, n_pairs, n_short, cb, cp, cr, n_chains, flag
+        firsts, lasts = _firsts_lasts(self.h.edges, times)
+        if self.short_threshold is not None:
+            threshold = self.short_threshold
+            for fv, lv in zip(firsts, lasts):
+                if times[lv] - times[fv] < threshold:
                     n_short += 1
-                if self.count_pairs:
-                    firsts[fv] = firsts.get(fv, 0) + 1
-                    lasts[lv] = lasts.get(lv, 0) + 1
-            if self.count_pairs:
-                # a singleton edge is its own first and last; (e, e) is not a pair
-                singletons: dict[int, int] = {}
-                for ei, e in enumerate(self.edges):
-                    if self.sizes[ei] == 1:
-                        singletons[e[0]] = singletons.get(e[0], 0) + 1
-                for v, nl in lasts.items():
-                    nf = firsts.get(v, 0)
-                    if nf == 0:
-                        continue
-                    here = nl * nf - singletons.get(v, 0)
-                    n_pairs += here
-                    if self.p is not None:
-                        tv = times[v]
-                        if tv < self.part_lo:
-                            cb += here
-                        elif tv < self.part_hi:
-                            cp += here
-                        else:
-                            cr += here
+        if self.count_pairs:
+            n_first = Counter(firsts)
+            for v, nl in Counter(lasts).items():
+                nf = n_first.get(v, 0)
+                if nf == 0:
+                    continue
+                here = nl * nf - self.singletons.get(v, 0)
+                n_pairs += here
+                if self.p is not None:
+                    tv = times[v]
+                    if tv < self.part_lo:
+                        cb += here
+                    elif tv < self.part_hi:
+                        cp += here
+                    else:
+                        cr += here
         if self.count_chains:
-            t = BirthTimeAssignment(times)
             try:
                 n_chains = len(
-                    conflicting_chains(self.h, t, self.r, self.chain_ceiling)
+                    _chains_from(self.h.edge_sets, firsts, lasts, self.r, self.chain_ceiling)
                 )
             except ChainCeilingError:
                 flag = 1
@@ -253,19 +212,28 @@ def monte_carlo(
         p = default_p(h)
     elif not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     cert = uniformity(h)
-    if workers <= 1:
+    # reports do not depend on the worker count, so processes beyond the
+    # trials or the usable CPUs would only add start-up cost
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    pool_size = min(workers, trials, cpus)
+    if pool_size == 1:
         engine = _TrialEngine(h, r, p, count_pairs, count_chains, chain_ceiling)
         totals = _run_range(engine, seed, 0, trials)
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        bounds = np.linspace(0, trials, pool_size + 1, dtype=int)
         jobs = [
             (h.edges, h.vertex_count, r, p, count_pairs, count_chains,
              chain_ceiling, seed, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.get_context("fork").Pool(pool_size) as pool:
             parts = pool.map(_worker, jobs)
         totals = tuple(sum(col) for col in zip(*parts))
     succ, pairs, short, cb, cp, cr, chains, flagged = totals

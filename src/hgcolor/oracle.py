@@ -2,16 +2,19 @@
 coloring counts, and the exact greedy success probability over all vertex
 orderings (the algorithm depends on birth times only through the induced
 order, so averaging over permutations is exact).
+
+All three are backtracking searches over the greedy module's edge state,
+so they decide blocked colors exactly as the greedy driver does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from .errors import BudgetExceededError
+from .greedy import _EdgeState, _first_free
 from .hypergraph import Coloring, Hypergraph
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -36,7 +39,9 @@ def is_r_colorable(
 ) -> tuple[bool, Coloring | None]:
     """Backtracking search for a proper r-coloring; returns a witness.
 
-    The budget caps tried (vertex, color) assignments and fails loudly.
+    Vertices 0..V-1 take colors in ascending order, so the witness is the
+    lexicographically smallest proper coloring. The budget caps tried
+    (vertex, color) assignments, blocked colors included, and fails loudly.
     """
     h.require_valid()
     if r < 1:
@@ -46,63 +51,29 @@ def is_r_colorable(
         raise BudgetExceededError(
             f"colorability search on {v_count} vertices exceeds budget {budget}"
         )
-    incidence = h.incidence
-    sizes = h.edge_sizes
+    state = _EdgeState(h, r)
     colors = [0] * v_count
-    edge_seen = [0] * h.edge_count  # 0 none, -1 mixed, j uniform
-    edge_colored = [0] * h.edge_count
     nodes = 0
-
-    def completes_mono(v: int, j: int) -> bool:
-        for ei in incidence[v]:
-            if edge_colored[ei] == sizes[ei] - 1:
-                c = edge_seen[ei]
-                if c == j or c == 0:
-                    return True
-        return False
-
-    def place(v: int, j: int) -> None:
-        colors[v] = j
-        for ei in incidence[v]:
-            edge_colored[ei] += 1
-            c = edge_seen[ei]
-            if c == 0:
-                edge_seen[ei] = j
-            elif c != j:
-                edge_seen[ei] = -1
-
-    def unplace(v: int, j: int) -> None:
-        colors[v] = 0
-        for ei in incidence[v]:
-            edge_colored[ei] -= 1
-            # recompute the seen-color summary for this edge
-            seen = 0
-            for u in h.edges[ei]:
-                cu = colors[u]
-                if cu:
-                    if seen == 0:
-                        seen = cu
-                    elif seen != cu:
-                        seen = -1
-                        break
-            edge_seen[ei] = seen
 
     def search(v: int) -> bool:
         nonlocal nodes
         if v == v_count:
             return True
+        blocked = state.blocked(v)
+        saved = state.save(v)
         for j in range(1, r + 1):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"colorability search exceeded budget {budget}"
                 )
-            if completes_mono(v, j):
+            if blocked >> j & 1:
                 continue
-            place(v, j)
+            colors[v] = j
+            state.place(v, j)
             if search(v + 1):
                 return True
-            unplace(v, j)
+            state.unplace(v, saved)
         return False
 
     if search(0):
@@ -121,41 +92,20 @@ def count_proper_colorings(
         raise BudgetExceededError(
             f"{r}^{h.vertex_count} colorings exceed budget {budget}"
         )
-    incidence = h.incidence
-    sizes = h.edge_sizes
-    colors = [0] * h.vertex_count
-    edge_seen = [0] * h.edge_count
-    edge_colored = [0] * h.edge_count
+    v_count = h.vertex_count
+    state = _EdgeState(h, r)
 
     def count(v: int) -> int:
-        if v == h.vertex_count:
+        if v == v_count:
             return 1
+        blocked = state.blocked(v)
+        saved = state.save(v)
         total = 0
         for j in range(1, r + 1):
-            bad = False
-            for ei in incidence[v]:
-                if edge_colored[ei] == sizes[ei] - 1:
-                    c = edge_seen[ei]
-                    if c == j or c == 0:
-                        bad = True
-                        break
-            if bad:
-                continue
-            colors[v] = j
-            undo = []
-            for ei in incidence[v]:
-                edge_colored[ei] += 1
-                c = edge_seen[ei]
-                undo.append((ei, c))
-                if c == 0:
-                    edge_seen[ei] = j
-                elif c != j:
-                    edge_seen[ei] = -1
-            total += count(v + 1)
-            for ei, c in reversed(undo):
-                edge_colored[ei] -= 1
-                edge_seen[ei] = c
-            colors[v] = 0
+            if not blocked >> j & 1:
+                state.place(v, j)
+                total += count(v + 1)
+                state.unplace(v, saved)
         return total
 
     return count(0)
@@ -166,8 +116,11 @@ def greedy_success_exact(
 ) -> OrderingStatistics:
     """Run the greedy rule under every ordering of the vertices.
 
-    A run fails exactly when some vertex finds all colors blocked, so each
-    order is aborted at the first forced vertex.
+    A run fails exactly when some vertex finds all colors blocked. The
+    orderings are walked as a tree of prefixes: each vertex appended to a
+    prefix takes its greedy color, a forced vertex prunes every ordering
+    that extends the prefix, and the successful orderings are the leaves
+    reached. A shared prefix is thus swept once, not once per ordering.
     """
     h.require_valid()
     if r < 2:
@@ -178,41 +131,27 @@ def greedy_success_exact(
         raise BudgetExceededError(
             f"{v_count}! orderings exceed budget {budget}"
         )
-    incidence = h.incidence
-    m = h.edge_count
-    last_threshold = [s - 1 for s in h.edge_sizes]
-    all_blocked = ((1 << r) - 1) << 1
-    color_range = tuple(range(1, r + 1))
-    proper = 0
-    for order in permutations(range(v_count)):
-        edge_seen = [0] * m
-        edge_colored = [0] * m
-        ok = True
-        for v in order:
-            blocked = 0
-            for ei in incidence[v]:
-                if edge_colored[ei] == last_threshold[ei]:
-                    c = edge_seen[ei]
-                    if c > 0:
-                        blocked |= 1 << c
-                    elif c == 0:
-                        blocked = all_blocked
-                        break
-            if blocked == all_blocked:
-                ok = False
-                break
-            choice = r
-            for j in color_range:
-                if not blocked & (1 << j):
-                    choice = j
-                    break
-            for ei in incidence[v]:
-                edge_colored[ei] += 1
-                c = edge_seen[ei]
-                if c == 0:
-                    edge_seen[ei] = choice
-                elif c != choice:
-                    edge_seen[ei] = -1
-        if ok:
-            proper += 1
-    return OrderingStatistics(total, proper)
+    state = _EdgeState(h, r)
+    all_blocked = state.all_blocked
+    last = v_count - 1
+    # rest[depth:] holds the vertices not yet in the prefix rest[:depth]
+    rest = list(range(v_count))
+
+    def leaves(depth: int) -> int:
+        proper = 0
+        for i in range(depth, v_count):
+            rest[depth], rest[i] = rest[i], rest[depth]
+            v = rest[depth]
+            blocked = state.blocked(v)
+            if blocked != all_blocked:
+                if depth == last:
+                    proper += 1
+                else:
+                    saved = state.save(v)
+                    state.place(v, _first_free(blocked))
+                    proper += leaves(depth + 1)
+                    state.unplace(v, saved)
+            rest[depth], rest[i] = rest[i], rest[depth]
+        return proper
+
+    return OrderingStatistics(total, leaves(0) if v_count else 1)

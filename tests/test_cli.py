@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hgcolor import loads_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 
@@ -82,6 +84,14 @@ class TestOracle:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET", "HGCOLOR_CHAIN_CEILING"])
+    def test_non_integer_env_var(self, monkeypatch, capsys, name):
+        monkeypatch.setenv(name, "lots")
+        code, out, err = run(capsys, "gen", "fano")
+        assert code == EXIT_BUDGET
+        assert name in err
+        assert out == ""
+
     def test_missing_file_is_io(self, capsys):
         code, _, err = run(capsys, "mc", "--in", "/nonexistent.hg", "--seed", "1")
         assert code == EXIT_IO
@@ -116,6 +126,12 @@ class TestBounds:
         )
         assert code == EXIT_OK
         assert svg.read_text().startswith("<svg")
+
+    def test_edge_size_below_two_rejected(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "1")
+        assert code == EXIT_INVARIANT
+        assert "n=1" in err and "Traceback" not in err
+        assert out == ""
 
 
 class TestExperiment:

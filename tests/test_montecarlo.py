@@ -75,6 +75,18 @@ class TestMonteCarlo:
         parallel = monte_carlo(fano, 2, 400, seed=8, workers=4, count_chains=True)
         assert serial == parallel
 
+    def test_worker_count_capped_by_trials(self, fano):
+        # the pool is sized min(workers, trials, usable CPUs): at most two
+        # processes start here, and the report cannot depend on the count
+        serial = monte_carlo(fano, 2, 2, seed=8, workers=1, count_chains=True)
+        huge = monte_carlo(fano, 2, 2, seed=8, workers=10**6, count_chains=True)
+        assert serial == huge
+
+    def test_workers_must_be_positive(self, fano):
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="worker"):
+                monte_carlo(fano, 2, 10, seed=1, workers=workers)
+
     def test_chain_counts_opt_in(self, fano):
         rep = monte_carlo(fano, 2, 50, seed=9)
         assert rep.total_conflicting_chains is None

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from hgcolor import (
     BudgetExceededError,
+    Coloring,
     Hypergraph,
     count_proper_colorings,
     greedy_success_exact,
@@ -102,3 +105,48 @@ def test_count_invariant_under_relabeling(h, rnd):
     perm = list(range(h.vertex_count))
     rnd.shuffle(perm)
     assert count_proper_colorings(h, 2) == count_proper_colorings(h.relabel(perm), 2)
+
+
+# Naive references for the three oracles. They share no code with the
+# library's edge state: colors are a dict, edges are sets, and properness is
+# judged on the finished coloring by is_proper.
+
+
+def naive_greedy_is_proper(h, order, r):
+    colors = {}
+    for v in order:
+        free = [
+            j
+            for j in range(1, r + 1)
+            if not any(
+                v in e and all(colors.get(u) == j for u in e - {v})
+                for e in h.edge_sets
+            )
+        ]
+        colors[v] = free[0] if free else r
+    return is_proper(h, Coloring([colors[v] for v in range(h.vertex_count)], r))[0]
+
+
+def proper_colorings_lex(h, r):
+    for colors in product(range(1, r + 1), repeat=h.vertex_count):
+        if is_proper(h, Coloring(colors, r))[0]:
+            yield colors
+
+
+@given(hypergraphs(max_vertices=6), st.integers(2, 3))
+@settings(max_examples=30, deadline=None)
+def test_greedy_census_matches_naive_runs(h, r):
+    stats = greedy_success_exact(h, r)
+    orders = list(permutations(range(h.vertex_count)))
+    assert stats.total_orderings == factorial(h.vertex_count) == len(orders)
+    assert stats.proper_orderings == sum(naive_greedy_is_proper(h, o, r) for o in orders)
+
+
+@given(hypergraphs(max_vertices=6), st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_count_and_witness_match_enumeration(h, r):
+    proper = list(proper_colorings_lex(h, r))
+    assert count_proper_colorings(h, r) == len(proper)
+    ok, witness = is_r_colorable(h, r)
+    assert ok == bool(proper)
+    assert (witness.colors if ok else None) == (proper[0] if proper else None)
