@@ -109,7 +109,11 @@ def _firsts_lasts(
 def conflicting_pairs(h: Hypergraph, t: BirthTimeAssignment) -> list[tuple[int, int]]:
     """Ordered pairs (e, f) where the last vertex of e is the first vertex
     of f. Such pairs share exactly that vertex, so they are dangerous."""
-    firsts, lasts = _firsts_lasts(h.edges, t.times)
+    return _pairs_from(*_firsts_lasts(h.edges, t.times))
+
+
+def _pairs_from(firsts: Sequence[int], lasts: Sequence[int]) -> list[tuple[int, int]]:
+    """The conflicting pairs given each edge's first and last vertex."""
     by_first: dict[int, list[int]] = {}
     for fi, v in enumerate(firsts):
         by_first.setdefault(v, []).append(fi)
@@ -259,8 +263,8 @@ def classify_conflicts_by_interval(
 ) -> IntervalConflictCounts:
     """Count conflicting pairs by the interval holding their common vertex."""
     counts = {"B": 0, "P": 0, "R": 0}
-    _, lasts = _firsts_lasts(h.edges, t.times)
-    for (ei, _fi) in conflicting_pairs(h, t):
+    firsts, lasts = _firsts_lasts(h.edges, t.times)
+    for (ei, _fi) in _pairs_from(firsts, lasts):
         counts[partition.locate(t[lasts[ei]])] += 1
     return IntervalConflictCounts(counts["B"], counts["P"], counts["R"])
 

@@ -270,7 +270,8 @@ def write_report_files(report: ExperimentReport, out_dir: str, plot: bool = Fals
 
 def _run(config: ExperimentConfig) -> ExperimentReport:
     h = load_instance(config.source)
-    violations = [v.message for v in validate(h) if v.severity == "error"]
+    checks = validate(h)
+    violations = [v.message for v in checks if v.severity == "error"]
     if violations:
         return ExperimentReport(
             config=json.loads(config.to_json()),
@@ -351,7 +352,7 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             "vertex_count": h.vertex_count,
             "edge_count": h.edge_count,
             "uniformity_n": cert.n if cert else None,
-            "warnings": [v.message for v in validate(h) if v.severity == "warning"],
+            "warnings": [v.message for v in checks if v.severity == "warning"],
         },
         mc=_mc_asdict(mc),
         oracle=asdict(oracle_sec),

@@ -58,11 +58,15 @@ class Hypergraph:
                     inc[v].append(ei)
         return tuple(tuple(x) for x in inc)
 
+    @cached_property
+    def _error_messages(self) -> tuple[str, ...]:
+        """Messages of the errors validate() reports, computed once."""
+        return tuple(v.message for v in validate(self) if v.severity == "error")
+
     def require_valid(self) -> None:
         """Raise InvalidHypergraphError if validation finds any error."""
-        errors = [v for v in validate(self) if v.severity == "error"]
-        if errors:
-            raise InvalidHypergraphError("; ".join(v.message for v in errors))
+        if self._error_messages:
+            raise InvalidHypergraphError("; ".join(self._error_messages))
 
     def relabel(self, perm: Sequence[int]) -> "Hypergraph":
         """Return the hypergraph with vertex v renamed to perm[v]."""

@@ -3,8 +3,12 @@ coloring counts, and the exact greedy success probability over all vertex
 orderings (the algorithm depends on birth times only through the induced
 order, so averaging over permutations is exact).
 
-All three are backtracking searches over the greedy module's edge state,
-so they decide blocked colors exactly as the greedy driver does.
+Colorability and counting are backtracking searches over the greedy
+module's edge state, so they decide blocked colors exactly as the greedy
+driver does. The ordering census runs on the same state but counts each
+partial coloring's successful completions once, since the greedy choice for
+the next vertex depends on the partial coloring and not on the order that
+produced it.
 """
 
 from __future__ import annotations
@@ -117,10 +121,11 @@ def greedy_success_exact(
     """Run the greedy rule under every ordering of the vertices.
 
     A run fails exactly when some vertex finds all colors blocked. The
-    orderings are walked as a tree of prefixes: each vertex appended to a
-    prefix takes its greedy color, a forced vertex prunes every ordering
-    that extends the prefix, and the successful orderings are the leaves
-    reached. A shared prefix is thus swept once, not once per ordering.
+    successful orderings are counted per partial coloring: a coloring's
+    count sums, over each uncolored vertex v that is not blocked, the count
+    of the coloring extended by v's greedy color. Every coloring reached is
+    counted once and memoized for this call, so the work is bounded by the
+    (r+1)^V partial colorings rather than the V! orderings.
     """
     h.require_valid()
     if r < 2:
@@ -133,25 +138,33 @@ def greedy_success_exact(
         )
     state = _EdgeState(h, r)
     all_blocked = state.all_blocked
-    last = v_count - 1
-    # rest[depth:] holds the vertices not yet in the prefix rest[:depth]
-    rest = list(range(v_count))
+    colors = [0] * v_count
+    # the memo key is the partial coloring as a base-(r+1) number whose
+    # digit v is colors[v], 0 for uncolored
+    weight = [(r + 1) ** v for v in range(v_count)]
+    memo: dict[int, int] = {}
 
-    def leaves(depth: int) -> int:
+    def completions(key: int, left: int) -> int:
+        if left == 0:
+            return 1
+        known = memo.get(key)
+        if known is not None:
+            return known
         proper = 0
-        for i in range(depth, v_count):
-            rest[depth], rest[i] = rest[i], rest[depth]
-            v = rest[depth]
+        for v in range(v_count):
+            if colors[v]:
+                continue
             blocked = state.blocked(v)
-            if blocked != all_blocked:
-                if depth == last:
-                    proper += 1
-                else:
-                    saved = state.save(v)
-                    state.place(v, _first_free(blocked))
-                    proper += leaves(depth + 1)
-                    state.unplace(v, saved)
-            rest[depth], rest[i] = rest[i], rest[depth]
+            if blocked == all_blocked:
+                continue
+            j = _first_free(blocked)
+            saved = state.save(v)
+            state.place(v, j)
+            colors[v] = j
+            proper += completions(key + j * weight[v], left - 1)
+            colors[v] = 0
+            state.unplace(v, saved)
+        memo[key] = proper
         return proper
 
-    return OrderingStatistics(total, leaves(0) if v_count else 1)
+    return OrderingStatistics(total, completions(0, v_count))

@@ -1,4 +1,5 @@
 import pytest
+import hgcolor.hypergraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,6 +7,7 @@ from hgcolor import (
     Coloring,
     Hypergraph,
     HypergraphFormatError,
+    InvalidHypergraphError,
     UncoloredVertexError,
     dumps_hypergraph,
     is_proper,
@@ -45,6 +47,26 @@ class TestValidate:
 
     def test_empty_hypergraph_valid(self):
         assert validate(Hypergraph(0, [])) == []
+
+    def test_require_valid_validates_each_instance_once(self, monkeypatch):
+        calls = []
+
+        def counting_validate(h):
+            calls.append(h)
+            return validate(h)
+
+        monkeypatch.setattr(hgcolor.hypergraph, "validate", counting_validate)
+        h = Hypergraph(3, [(0, 1, 2)])
+        for _ in range(3):
+            h.require_valid()
+        assert len(calls) == 1
+        bad = Hypergraph(2, [(0, 5)])
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(InvalidHypergraphError, match="out of range") as exc:
+                bad.require_valid()
+            messages.add(str(exc.value))
+        assert len(calls) == 2 and len(messages) == 1
 
 
 class TestUniformity:

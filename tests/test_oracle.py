@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -10,11 +11,14 @@ from hgcolor import (
     BudgetExceededError,
     Coloring,
     Hypergraph,
+    OrderingStatistics,
     count_proper_colorings,
+    greedy_color_by_permutation,
     greedy_success_exact,
     is_proper,
     is_r_colorable,
 )
+from hgcolor.suite import fixed_suite
 
 from conftest import hypergraphs
 
@@ -84,6 +88,28 @@ class TestOrderingCensus:
         with pytest.raises(BudgetExceededError):
             greedy_success_exact(fano, 2, budget=100)
 
+    def test_budget_is_the_ordering_count(self, fano):
+        # the budget is checked against 7! = 5040 up front, whatever the
+        # number of partial colorings the count visits
+        message = re.escape("7! orderings exceed budget 5039")
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            greedy_success_exact(fano, 2, budget=5039)
+        assert greedy_success_exact(fano, 2, budget=5040).total_orderings == 5040
+
+    def test_no_vertices(self):
+        assert greedy_success_exact(Hypergraph(0, []), 2) == OrderingStatistics(1, 1)
+
+    @pytest.mark.parametrize(
+        "h,r",
+        [pytest.param(h, r, id=name) for name, h, r in fixed_suite() if h.vertex_count <= 6],
+    )
+    def test_suite_matches_every_greedy_run(self, h, r):
+        orders = list(permutations(range(h.vertex_count)))
+        proper = sum(
+            is_proper(h, greedy_color_by_permutation(h, o, r).coloring)[0] for o in orders
+        )
+        assert greedy_success_exact(h, r) == OrderingStatistics(len(orders), proper)
+
 
 @given(hypergraphs(max_vertices=5, max_edges=5), st.integers(2, 3))
 @settings(max_examples=60, deadline=None)
@@ -97,6 +123,18 @@ def test_greedy_success_implies_colorable(h, r):
     stats = greedy_success_exact(h, r)
     if stats.success_probability > 0:
         assert is_r_colorable(h, r)[0]
+
+
+@given(
+    hypergraphs(max_vertices=7, max_edges=6),
+    st.integers(2, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_greedy_census_invariant_under_relabeling(h, r, rnd):
+    perm = list(range(h.vertex_count))
+    rnd.shuffle(perm)
+    assert greedy_success_exact(h, r) == greedy_success_exact(h.relabel(perm), r)
 
 
 @given(hypergraphs(max_vertices=5, max_edges=4), st.randoms(use_true_random=False))
