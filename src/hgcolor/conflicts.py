@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ChainCeilingError
 from .hypergraph import BirthTimeAssignment, Hypergraph
 
@@ -104,6 +106,29 @@ def _firsts_lasts(
         firsts.append(fv)
         lasts.append(lv)
     return firsts, lasts
+
+
+def _firsts_lasts_batch(
+    edge_matrix: np.ndarray, orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_firsts_lasts for each row of `orders` (trials x vertices, each a
+    processing order): (trials x edges) arrays of first and last vertices.
+
+    A vertex's rank is its position in the order, which already breaks
+    time ties by index, so an edge's first and last vertex hold its least
+    and greatest rank; edge_matrix pads each edge with its own vertex.
+    """
+    trials, v_count = orders.shape
+    rows = np.arange(trials)[:, None]
+    ranks = np.empty(orders.shape, dtype=np.int32)
+    ranks[rows, orders] = np.arange(v_count)
+    edge_ranks = ranks[:, edge_matrix]
+    # (the initial values only give an instance without edges a defined
+    # empty reduction)
+    return (
+        orders[rows, edge_ranks.min(axis=2, initial=v_count)],
+        orders[rows, edge_ranks.max(axis=2, initial=0)],
+    )
 
 
 def conflicting_pairs(h: Hypergraph, t: BirthTimeAssignment) -> list[tuple[int, int]]:

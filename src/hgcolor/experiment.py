@@ -21,7 +21,7 @@ from typing import Any
 from . import bounds
 from .errors import BudgetExceededError, NumericRangeError
 from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
-from .hypergraph import Hypergraph, read_hypergraph, uniformity, validate
+from .hypergraph import Hypergraph, read_hypergraph, uniformity
 from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, monte_carlo, wilson_interval, Z99
 from .oracle import DEFAULT_ORACLE_BUDGET, greedy_success_exact, is_r_colorable
 
@@ -270,7 +270,7 @@ def write_report_files(report: ExperimentReport, out_dir: str, plot: bool = Fals
 
 def _run(config: ExperimentConfig) -> ExperimentReport:
     h = load_instance(config.source)
-    checks = validate(h)
+    checks = h.violations
     violations = [v.message for v in checks if v.severity == "error"]
     if violations:
         return ExperimentReport(

@@ -8,10 +8,12 @@ recorded as forced. Variants: an explicit-permutation driver, a two-phase
 precolor-then-greedy scheme for two colors, and a random equitable-partition
 baseline.
 
-That rule lives in one place, the private edge state ``_EdgeState``: every
-sweep here, the Monte Carlo trial engine (through :func:`greedy_succeeds`)
+That rule lives in the private edge state ``_EdgeState``: every sweep here
 and the exact oracles in :mod:`hgcolor.oracle` decide blocked colors and
-update edges through it.
+update edges through it. The Monte Carlo trial engine runs
+``_succeeds_batch``, the same rule on packed per-edge integers for many
+processing orders at once; :func:`greedy_succeeds` is its reference in the
+tests.
 """
 
 from __future__ import annotations
@@ -100,6 +102,70 @@ class _EdgeState:
         for ei, c in zip(self.incidence[v], saved):
             left[ei] += 1
             seen[ei] = c
+
+
+_WORD = 62  # colors per blocked-color word of the batched sweep
+
+
+def _succeeds_batch(h: Hypergraph, orders: np.ndarray, r: int) -> np.ndarray:
+    """greedy_succeeds for each row of `orders` (trials x vertices), with
+    all rows swept in lockstep over processing positions.
+
+    Each edge's state is one int64: (uncolored count - 1) above two w-bit
+    fields, the OR of the colors its colored vertices have and the OR of
+    their complements. The edge has seen exactly the color a iff the fields
+    are (a, ~a), so it blocks a for its last vertex iff its state equals
+    sig[a], a table that also serves as the OR pattern that places color a.
+    (int64 holds this while 2w + bits(vertex count + 1) <= 63, far past any
+    instance whose incidence matrix fits in memory.) An edge of one vertex
+    blocks every color, so any singleton edge fails every trial.
+    """
+    trials, v_count = orders.shape
+    if 1 in h.edge_sizes:
+        return np.zeros(trials, dtype=bool)
+    inc = h.incidence_matrix
+    m = h.edge_count
+    # an unforced vertex takes at most (its degree + 1)-th color, so colors
+    # above `cap` appear only in rows that have already failed, and never
+    # above cap + 1
+    cap = min(r, inc.shape[1] + 1)
+    w = (cap + 1).bit_length()
+    codes = np.arange(1 << w, dtype=np.int64)
+    sig = ((~codes & ((1 << w) - 1)) << w) | codes
+    one_left = 1 << (2 * w)
+    # words[q][a]: the bit of color a among colors q*_WORD+1 .. (q+1)*_WORD
+    words = []
+    for base in range(0, cap, _WORD):
+        word = np.zeros(len(codes), dtype=np.int64)
+        for a in range(base + 1, min(base + _WORD, cap) + 1):
+            word[a] = 1 << (a - base - 1)
+        words.append(word)
+    # column m of each row is a padding edge that never closes
+    state = np.empty((trials, m + 1), dtype=np.int64)
+    state[:, :m] = (np.array(h.edge_sizes, dtype=np.int64) - 1) * one_left
+    state[:, m] = (v_count + 1) * one_left
+    state = state.ravel()
+    offsets = (np.arange(trials) * (m + 1))[:, None]
+    highest = np.zeros(trials, dtype=np.int64)  # per row, the largest color taken
+    for pos in range(v_count):
+        ix = inc[orders[:, pos]]
+        ix += offsets
+        s = state[ix]
+        a = s & (len(codes) - 1)
+        hit = s == sig[a]
+        blocked = np.bitwise_or.reduce(np.where(hit, words[0][a], 0), axis=1)
+        # the lowest clear bit, 2^(color-1), read off as a float exponent
+        color = np.frexp(~blocked & (blocked + 1))[1]
+        for q in range(1, len(words)):
+            # rows whose first q words are all blocked read on
+            rows = np.flatnonzero(color == q * _WORD + 1)
+            if not rows.size:
+                break
+            blocked = np.bitwise_or.reduce(np.where(hit[rows], words[q][a[rows]], 0), axis=1)
+            color[rows] += np.frexp(~blocked & (blocked + 1))[1] - 1
+        np.maximum(highest, color, out=highest)
+        state[ix] = (s | sig[color][:, None]) - one_left
+    return highest <= r
 
 
 def _first_free(blocked: int) -> int:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .errors import HypergraphFormatError, InvalidHypergraphError, UncoloredVertexError
 
 
@@ -59,9 +61,34 @@ class Hypergraph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def edge_matrix(self) -> np.ndarray:
+        """(edge_count, largest edge size) array of a valid hypergraph: row e
+        is edge e, padded with copies of its first vertex."""
+        width = max(map(len, self.edges), default=0)
+        out = np.empty((self.edge_count, width), dtype=np.intp)
+        for ei, e in enumerate(self.edges):
+            out[ei, : len(e)] = e
+            out[ei, len(e) :] = e[0]
+        return out
+
+    @cached_property
+    def incidence_matrix(self) -> np.ndarray:
+        """(vertex_count, largest degree) array: row v is incidence[v],
+        padded with edge_count, one past the last edge index."""
+        width = max(map(len, self.incidence), default=0)
+        out = np.full((self.vertex_count, width), self.edge_count, dtype=np.intp)
+        for v, row in enumerate(self.incidence):
+            out[v, : len(row)] = row
+        return out
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What validate() reports, computed once per instance."""
+        return tuple(validate(self))
+
+    @cached_property
     def _error_messages(self) -> tuple[str, ...]:
-        """Messages of the errors validate() reports, computed once."""
-        return tuple(v.message for v in validate(self) if v.severity == "error")
+        return tuple(v.message for v in self.violations if v.severity == "error")
 
     def require_valid(self) -> None:
         """Raise InvalidHypergraphError if validation finds any error."""

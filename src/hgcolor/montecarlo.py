@@ -6,25 +6,31 @@ are integer sums, which merge exactly in any order. Proportions carry 95%
 and 99% Wilson intervals (well behaved at estimates of 0 and 1, which
 non-colorable and trivially colorable instances produce).
 
-A trial decides success with :func:`hgcolor.greedy.greedy_succeeds` and
-takes first/last vertices, short edges and conflicting chains from the
-routines in :mod:`hgcolor.conflicts`; it keeps no copy of either.
+Trials run in batches: the rows of one (trials x vertices) array of birth
+times, row i still drawn from (master seed, i). The greedy sweep
+(:func:`hgcolor.greedy._succeeds_batch`) and the first/last vertices
+(:func:`hgcolor.conflicts._firsts_lasts_batch`) handle a whole batch as
+numpy arrays, and the pair, short-edge and B/P/R counts follow from those;
+:func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions of
+:mod:`hgcolor.conflicts` are their references in the tests. Chains are
+enumerated row by row with :func:`hgcolor.conflicts._chains_from`. A batch
+is capped by a fixed element budget, so memory does not grow with the trial
+count, and reports do not depend on how trials split into batches.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from collections import Counter
 from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
 from scipy.special import ndtri
 
-from .conflicts import DEFAULT_CHAIN_CEILING, _chains_from, _firsts_lasts
+from .conflicts import DEFAULT_CHAIN_CEILING, _chains_from, _firsts_lasts_batch
 from .errors import ChainCeilingError
-from .greedy import equitable_partition_color, greedy_succeeds
+from .greedy import _succeeds_batch, equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
 
 Z95 = float(ndtri(0.975))
@@ -99,8 +105,14 @@ class MonteCarloReport:
     chain_ceiling_trials: int
 
 
+# A batch's largest array holds (trials in the batch) x (edges x largest
+# edge size) ranks; this caps that product, so memory stays flat however
+# many trials a call asks for.
+_BATCH_ELEMENTS = 1 << 19
+
+
 class _TrialEngine:
-    """Per-hypergraph precomputation for the trial hot loop."""
+    """Per-hypergraph precomputation for batches of trials."""
 
     def __init__(
         self,
@@ -123,58 +135,60 @@ class _TrialEngine:
             self.part_lo = (1.0 - p) / 2.0
             self.part_hi = (1.0 + p) / 2.0
         # a singleton edge is its own first and last; (e, e) is not a pair
-        self.singletons = Counter(e[0] for e in h.edges if len(e) == 1)
+        self.singletons = np.bincount(
+            [e[0] for e in h.edges if len(e) == 1], minlength=self.v_count
+        )
+        per_trial = max(h.edge_matrix.size, self.v_count, 1)
+        self.batch = max(1, _BATCH_ELEMENTS // per_trial)
 
-    def run(self, times: list[float]) -> tuple[int, int, int, int, int, int, int, int]:
-        """One trial: (success, pairs, short, b, p_mid, r_int, chains, ceiling_flag)."""
+    def run(self, times: np.ndarray) -> np.ndarray:
+        """Trials given as rows of birth times (trials x vertices): one row
+        (success, pairs, short, b, p_mid, r_int, chains, ceiling_flag) each."""
+        trials, v_count = times.shape
+        out = np.zeros((trials, 8), dtype=np.int64)
         # a stable sort by time alone breaks ties by ascending index
-        order = sorted(range(self.v_count), key=times.__getitem__)
-        success = 1 if greedy_succeeds(self.h, order, self.r) else 0
-        n_pairs = n_short = cb = cp = cr = 0
-        n_chains = flag = 0
+        orders = np.argsort(times, axis=1, kind="stable")
+        out[:, 0] = _succeeds_batch(self.h, orders, self.r)
         if not (self.count_pairs or self.count_chains or self.short_threshold is not None):
-            return success, n_pairs, n_short, cb, cp, cr, n_chains, flag
-        firsts, lasts = _firsts_lasts(self.h.edges, times)
+            return out
+        firsts, lasts = _firsts_lasts_batch(self.h.edge_matrix, orders)
+        rows = np.arange(trials)[:, None]
         if self.short_threshold is not None:
-            threshold = self.short_threshold
-            for fv, lv in zip(firsts, lasts):
-                if times[lv] - times[fv] < threshold:
-                    n_short += 1
+            span = times[rows, lasts] - times[rows, firsts]
+            out[:, 2] = np.count_nonzero(span < self.short_threshold, axis=1)
         if self.count_pairs:
-            n_first = Counter(firsts)
-            for v, nl in Counter(lasts).items():
-                nf = n_first.get(v, 0)
-                if nf == 0:
-                    continue
-                here = nl * nf - self.singletons.get(v, 0)
-                n_pairs += here
-                if self.p is not None:
-                    tv = times[v]
-                    if tv < self.part_lo:
-                        cb += here
-                    elif tv < self.part_hi:
-                        cp += here
-                    else:
-                        cr += here
+            # pairs meeting at v: (edges last at v) x (edges first at v)
+            offset = rows * v_count
+            n_first = np.bincount((firsts + offset).ravel(), minlength=trials * v_count)
+            n_last = np.bincount((lasts + offset).ravel(), minlength=trials * v_count)
+            here = (n_first * n_last).reshape(trials, v_count) - self.singletons
+            out[:, 1] = here.sum(axis=1)
+            if self.p is not None:
+                below = times < self.part_lo
+                out[:, 3] = (here * below).sum(axis=1)
+                out[:, 4] = (here * (~below & (times < self.part_hi))).sum(axis=1)
+                out[:, 5] = (here * (times >= self.part_hi)).sum(axis=1)
         if self.count_chains:
-            try:
-                n_chains = len(
-                    _chains_from(self.h.edge_sets, firsts, lasts, self.r, self.chain_ceiling)
-                )
-            except ChainCeilingError:
-                flag = 1
-        return success, n_pairs, n_short, cb, cp, cr, n_chains, flag
+            sets = self.h.edge_sets
+            for i in range(trials):
+                try:
+                    out[i, 6] = len(_chains_from(
+                        sets, firsts[i].tolist(), lasts[i].tolist(), self.r, self.chain_ceiling
+                    ))
+                except ChainCeilingError:
+                    out[i, 7] = 1
+        return out
 
 
 def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[int, ...]:
-    totals = [0] * 8
-    v = engine.v_count
-    for i in range(start, stop):
-        rng = np.random.default_rng([seed, i])
-        times = rng.random(v).tolist()
-        for slot, val in enumerate(engine.run(times)):
-            totals[slot] += val
-    return tuple(totals)
+    totals = np.zeros(8, dtype=np.int64)
+    times = np.empty((engine.batch, engine.v_count))
+    for lo in range(start, stop, engine.batch):
+        block = times[: min(engine.batch, stop - lo)]
+        for i, row in enumerate(block, start=lo):
+            np.random.default_rng([seed, i]).random(out=row)
+        totals += engine.run(block).sum(axis=0)
+    return tuple(int(x) for x in totals)
 
 
 def _worker(args) -> tuple[int, ...]:
@@ -182,6 +196,14 @@ def _worker(args) -> tuple[int, ...]:
     h = Hypergraph(v_count, edges)
     engine = _TrialEngine(h, r, p, count_pairs, count_chains, ceiling)
     return _run_range(engine, seed, start, stop)
+
+
+def _pool_context():
+    """fork where the platform offers it (workers start without re-importing
+    anything), else the platform's default start method."""
+    if "fork" in mp.get_all_start_methods():
+        return mp.get_context("fork")
+    return mp.get_context()
 
 
 def monte_carlo(
@@ -233,7 +255,7 @@ def monte_carlo(
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
-        with mp.get_context("fork").Pool(pool_size) as pool:
+        with _pool_context().Pool(pool_size) as pool:
             parts = pool.map(_worker, jobs)
         totals = tuple(sum(col) for col in zip(*parts))
     succ, pairs, short, cb, cp, cr, chains, flagged = totals

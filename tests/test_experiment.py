@@ -30,6 +30,24 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    def test_validates_the_instance_once(self, monkeypatch):
+        import hgcolor.experiment
+        import hgcolor.hypergraph
+        from hgcolor import validate
+
+        calls = []
+
+        def counting_validate(h):
+            calls.append(h)
+            return validate(h)
+
+        # also the name a caller may have imported
+        for module in (hgcolor.hypergraph, hgcolor.experiment):
+            monkeypatch.setattr(module, "validate", counting_validate, raising=False)
+        source = {"kind": "random", "m": 8, "n": 3, "edges": 12, "seed": 2}
+        report = run_experiment(ExperimentConfig(source=source, r=2, trials=20, seed=1))
+        assert report.invariant_violations == [] and len(calls) == 1
+
     def test_fano_oracle_and_mc_agree_on_zero(self):
         cfg = ExperimentConfig(source={"kind": "fano"}, r=2, trials=300, seed=5)
         report = run_experiment(cfg)

@@ -136,7 +136,8 @@ def test_engine_counts_match_reference_structures():
         p = 0.4
         engine = _TrialEngine(h, 2, p, count_pairs=True, count_chains=False,
                               chain_ceiling=10**6)
-        _, n_pairs, n_short, cb, cp, cr, _, _ = engine.run(list(times))
+        (row,) = engine.run(np.array([times], dtype=float).reshape(1, h.vertex_count))
+        _, n_pairs, n_short, cb, cp, cr, _, _ = row.tolist()
         t = BirthTimeAssignment(times)
         assert n_pairs == len(conflicting_pairs(h, t))
         assert n_short == len(short_edges(h, t, 2, p))
@@ -144,6 +145,125 @@ def test_engine_counts_match_reference_structures():
         assert (cb, cp, cr) == (counts.b, counts.p, counts.r)
 
     check()
+
+
+def test_batch_rows_match_scalar_references():
+    """Every row of a batch equals the scalar references: greedy_succeeds on
+    the birth-time order, the conflict structures, and the chain count or
+    its ceiling flag (ties, singleton edges, isolated vertices, no edges and
+    mixed edge sizes all come from the strategy)."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from hgcolor import (
+        BirthTimeAssignment,
+        conflicting_chains,
+        conflicting_pairs,
+        short_edges,
+    )
+    from hgcolor.conflicts import IntervalPartition, classify_conflicts_by_interval
+    from hgcolor.errors import ChainCeilingError
+    from hgcolor.greedy import greedy_succeeds
+    from hgcolor.montecarlo import _TrialEngine
+
+    from conftest import hypergraphs_with_times
+
+    p = 0.4
+
+    @given(
+        hypergraphs_with_times(),
+        st.data(),
+        st.sampled_from([2, 3]),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def check(hwt, data, r, ceiling):
+        h, times = hwt
+        v = h.vertex_count
+        more = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=v, max_size=v),
+            max_size=4,
+        ))
+        block = np.array([times, *more], dtype=float).reshape(-1, v)
+        engine = _TrialEngine(h, r, p, count_pairs=True, count_chains=True,
+                              chain_ceiling=ceiling)
+        for row, got in zip(block, engine.run(block).tolist()):
+            t = BirthTimeAssignment(row.tolist())
+            counts = classify_conflicts_by_interval(h, t, IntervalPartition(p))
+            try:
+                chains, flag = len(conflicting_chains(h, t, r, ceiling)), 0
+            except ChainCeilingError:
+                chains, flag = 0, 1
+            assert got == [
+                int(greedy_succeeds(h, t.order(), r)),
+                len(conflicting_pairs(h, t)),
+                len(short_edges(h, t, r, p)),
+                counts.b, counts.p, counts.r,
+                chains, flag,
+            ]
+
+    check()
+
+
+@pytest.mark.parametrize("r", [62, 63, 64, 100])
+def test_success_exact_beyond_one_word_of_colors(r):
+    """The sweep stays exact when more colors are in play than one int64
+    holds: complete graphs need exactly as many colors as vertices, and K_66
+    without four edges needs 62 to 66 depending on the order."""
+    from hgcolor.greedy import greedy_succeeds
+
+    pairs = [(u, v) for u in range(66) for v in range(u + 1, 66)]
+    drop = set(np.random.default_rng(5).choice(len(pairs), 4, replace=False).tolist())
+    near = Hypergraph(66, [e for i, e in enumerate(pairs) if i not in drop])
+    for h in [gen_complete_uniform(k, 2) for k in (62, 63, 64, 65, 101)] + [near]:
+        trials, seed = 12, 11
+        want = sum(
+            greedy_succeeds(h, np.argsort(
+                np.random.default_rng([seed, i]).random(h.vertex_count), kind="stable"
+            ).tolist(), r)
+            for i in range(trials)
+        )
+        rep = monte_carlo(h, r, trials, seed, count_pairs=False)
+        assert rep.successes == want
+
+
+def test_report_independent_of_batch_split(monkeypatch):
+    """A call whose trials cross the batch cap, at a count that is not a
+    multiple of it, equals the same call split over two workers and the
+    same call run one trial per batch."""
+    from hgcolor import gen_random_uniform
+    from hgcolor import montecarlo
+    from hgcolor.montecarlo import _TrialEngine
+
+    h = gen_random_uniform(40, 8, 200, seed=1)
+    batch = _TrialEngine(h, 2, None, True, False, 10).batch
+    trials = 2 * batch + 3
+    serial = monte_carlo(h, 2, trials, seed=12)
+    assert serial == monte_carlo(h, 2, trials, seed=12, workers=2)
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 1)
+    assert _TrialEngine(h, 2, None, True, False, 10).batch == 1
+    assert serial == monte_carlo(h, 2, trials, seed=12)
+
+
+def test_pool_under_spawn_matches_serial(monkeypatch, fano):
+    """Workers started by spawn (no inherited memory) give the same report."""
+    import multiprocessing as mp
+
+    from hgcolor import montecarlo
+
+    serial = monte_carlo(fano, 3, 60, seed=13, count_chains=True)
+    monkeypatch.setattr(montecarlo, "_pool_context", lambda: mp.get_context("spawn"))
+    assert monte_carlo(fano, 3, 60, seed=13, count_chains=True, workers=2) == serial
+
+
+def test_pool_context_falls_back_without_fork(monkeypatch):
+    import multiprocessing as mp
+
+    from hgcolor import montecarlo
+
+    assert montecarlo._pool_context().get_start_method() in mp.get_all_start_methods()
+    monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+    assert montecarlo._pool_context() is mp.get_context()
 
 
 def test_any_conflicting_pair_probability_below_optimized_bound():
