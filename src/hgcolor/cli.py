@@ -1,6 +1,10 @@
 """Command-line workbench.
 
-Subcommands: gen, color, mc, oracle, bounds, experiment.
+Subcommands: gen, color, mc, oracle, bounds, experiment. mc and experiment
+take the same trial flags, and oracle and experiment the same
+--oracle-budget; HGCOLOR_CHAIN_CEILING and HGCOLOR_ORACLE_BUDGET set the
+defaults of --chain-ceiling and --oracle-budget. bounds writes the
+certified bound table (CSV or JSON, optionally an SVG plot).
 Exit codes: 0 ok, 2 invariant violation / invalid instance,
 3 budget or numeric range exceeded, 4 IO or parse error.
 """
@@ -8,8 +12,6 @@ Exit codes: 0 ok, 2 invariant violation / invalid instance,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -28,6 +30,7 @@ from .experiment import (
     _mc_asdict,
     bound_table,
     bound_table_to_csv,
+    csv_text,
     run_experiment,
     svg_plot,
     write_report_files,
@@ -120,11 +123,7 @@ def _cmd_mc(args) -> int:
     d = _mc_asdict(report)
     if args.format == "csv":
         keys = sorted(d)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerow([d[k] for k in keys])
-        _emit(buf.getvalue(), args.out)
+        _emit(csv_text(keys, [[d[k] for k in keys]]), args.out)
     else:
         _emit(json.dumps(d, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -222,82 +221,65 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the chain ceiling is read first, so it is named when both variables are bad
+    chain_ceiling = _env_int("HGCOLOR_CHAIN_CEILING", DEFAULT_CHAIN_CEILING)
+    oracle_budget = _env_int("HGCOLOR_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET)
+
+    # parents for the flags that several subcommands declare alike
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--in", dest="infile", required=True)
+    colors = argparse.ArgumentParser(add_help=False)
+    colors.add_argument("--r", type=int, default=2)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=1000)
+    trials.add_argument("--seed", type=int, default=0)
+    trials.add_argument("--p", type=float, default=None, help="B/P/R interval width")
+    trials.add_argument("--count-chains", action="store_true")
+    trials.add_argument("--workers", type=int, default=1)
+    trials.add_argument("--chain-ceiling", type=int, default=chain_ceiling)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--oracle-budget", type=int, default=oracle_budget)
+
     parser = argparse.ArgumentParser(prog="hgcolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate an instance file")
+    g = sub.add_parser("gen", parents=[out], help="generate an instance file")
     g.add_argument("kind", choices=["complete", "random", "fano"])
     g.add_argument("--m", type=int, default=7)
     g.add_argument("--n", type=int, default=3)
     g.add_argument("--edges", type=int, default=7)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out")
     g.set_defaults(func=_cmd_gen)
 
-    c = sub.add_parser("color", help="run one greedy coloring")
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--r", type=int, default=2)
+    c = sub.add_parser("color", parents=[instance, colors, out], help="run one greedy coloring")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--two-phase", action="store_true")
-    c.add_argument("--p", type=float, default=None)
-    c.add_argument("--out")
+    c.add_argument("--p", type=float, default=None, help="two-phase middle width (default 0.5)")
     c.set_defaults(func=_cmd_color)
 
-    m = sub.add_parser("mc", help="Monte Carlo success estimate")
-    m.add_argument("--in", dest="infile", required=True)
-    m.add_argument("--r", type=int, default=2)
-    m.add_argument("--trials", type=int, default=1000)
-    m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--p", type=float, default=None)
-    m.add_argument("--count-chains", action="store_true")
-    m.add_argument("--workers", type=int, default=1)
-    m.add_argument(
-        "--chain-ceiling",
-        type=int,
-        default=_env_int("HGCOLOR_CHAIN_CEILING", DEFAULT_CHAIN_CEILING),
-    )
+    m = sub.add_parser("mc", parents=[instance, colors, trials, out], help="Monte Carlo success estimate")
     m.add_argument("--format", choices=["json", "csv"], default="json")
-    m.add_argument("--out")
     m.set_defaults(func=_cmd_mc)
 
-    o = sub.add_parser("oracle", help="exact colorability and ordering census")
-    o.add_argument("--in", dest="infile", required=True)
-    o.add_argument("--r", type=int, default=2)
-    o.add_argument(
-        "--oracle-budget",
-        type=int,
-        default=_env_int("HGCOLOR_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET),
+    o = sub.add_parser(
+        "oracle", parents=[instance, colors, budget, out], help="exact colorability and ordering census"
     )
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    b = sub.add_parser("bounds", help="certified bound table over (n, r)")
+    b = sub.add_parser("bounds", parents=[out], help="certified bound table over (n, r)")
     b.add_argument("--n", required=True, help="list '100,1000' or range '50:500:50'")
     b.add_argument("--r", default="2", help="list or range of color counts")
     b.add_argument("--format", choices=["csv", "json"], default="csv")
-    b.add_argument("--out")
     b.add_argument("--plot", help="also write an SVG to this path")
     b.set_defaults(func=_cmd_bounds)
 
-    e = sub.add_parser("experiment", help="full pipeline with persisted reports")
+    e = sub.add_parser(
+        "experiment", parents=[colors, trials, budget], help="full pipeline with persisted reports"
+    )
     e.add_argument("--config", help="JSON config file (overrides other flags)")
     e.add_argument("--in", dest="infile")
-    e.add_argument("--r", type=int, default=2)
-    e.add_argument("--trials", type=int, default=1000)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--p", type=float, default=None)
-    e.add_argument("--count-chains", action="store_true")
-    e.add_argument("--workers", type=int, default=1)
-    e.add_argument(
-        "--chain-ceiling",
-        type=int,
-        default=_env_int("HGCOLOR_CHAIN_CEILING", DEFAULT_CHAIN_CEILING),
-    )
-    e.add_argument(
-        "--oracle-budget",
-        type=int,
-        default=_env_int("HGCOLOR_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET),
-    )
     e.add_argument("--no-oracle", action="store_true")
     e.add_argument("--plot", action="store_true")
     e.add_argument("--out", dest="outdir", default="experiment_out")

@@ -235,8 +235,10 @@ def _chains_from(
     def extend(depth: int) -> None:
         prev = path[depth - 1]
         v = lasts[prev]
+        # prev and j share only v: a second shared vertex would come before
+        # last(prev) = v and after first(j) = v in the (time, index) order
         for j in by_first.get(v, ()):
-            if j == prev or len(sets[prev] & sets[j]) != 1:
+            if j == prev:
                 continue
             ok = True
             for k in range(depth - 1):

@@ -12,9 +12,10 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, fields
 from math import factorial, log, sqrt
 from typing import Any
 
@@ -45,6 +46,8 @@ class ExperimentConfig:
     plot: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -61,22 +64,63 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig(**json.loads(text))
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+        known = {f.name for f in fields(ExperimentConfig)}
+        if unknown := sorted(set(raw) - known):
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        if "source" not in raw:
+            raise ValueError("config needs a 'source' field")
+        return ExperimentConfig(**raw)
+
+
+# per annotated base type of a dataclass field: how an error names it, the
+# type a value must have (bool is never an int or a float here), and the
+# plain type it is stored or parsed as
+_FIELD_TYPES = {
+    "int": ("an integer", numbers.Integral, int),
+    "float": ("a number", numbers.Real, float),
+    "bool": ("true or false", bool, bool),
+    "str": ("a string", str, str),
+    "dict[str, Any]": ("an object", dict, dict),
+}
+
+
+def _base_type(f: Field) -> tuple[str, bool]:
+    """A field's annotation as (base type, whether None is allowed)."""
+    base, _, rest = f.type.partition(" | ")
+    return base, rest == "None"
+
+
+def _checked(f: Field, value: Any) -> Any:
+    base, optional = _base_type(f)
+    if value is None and optional:
+        return None
+    what, kind, plain = _FIELD_TYPES[base]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
+    return plain(value)
+
+
+# the fields each instance source kind needs
+_SOURCE_FIELDS = {"file": ("path",), "fano": (), "complete": ("m", "n"), "random": ("m", "n", "edges")}
 
 
 def load_instance(source: dict[str, Any]) -> Hypergraph:
     kind = source["kind"]
+    if kind not in _SOURCE_FIELDS:
+        raise ValueError(f"unknown instance source kind {kind!r}")
+    for name in _SOURCE_FIELDS[kind]:
+        if name not in source:
+            raise ValueError(f"{kind} source needs field {name!r}")
     if kind == "file":
         return read_hypergraph(source["path"])
     if kind == "fano":
         return gen_fano()
     if kind == "complete":
         return gen_complete_uniform(source["m"], source["n"])
-    if kind == "random":
-        return gen_random_uniform(
-            source["m"], source["n"], source["edges"], source.get("seed", 0)
-        )
-    raise ValueError(f"unknown instance source kind {kind!r}")
+    return gen_random_uniform(source["m"], source["n"], source["edges"], source.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +147,15 @@ def bound_table(n_values: list[int], r_values: list[int]) -> list[BoundRow]:
     """Certified edge-count coefficients and LLL degrees per (n, r).
 
     Numeric range failures mark the cell; the table always completes.
-    Edge sizes n < 2 have no reference scale n/ln(n) and are rejected.
+    Edge sizes n < 2 have no reference scale n/ln(n), and color counts
+    r < 2 no r-coloring rate; both are rejected.
     """
     for n in n_values:
         if n < 2:
             raise ValueError(f"bound table needs edge sizes n >= 2, got n={n}")
+    for r in r_values:
+        if r < 2:
+            raise ValueError(f"bound table needs color counts r >= 2, got r={r}")
     rows = []
     for n in n_values:
         for r in r_values:
@@ -145,44 +193,30 @@ def bound_table(n_values: list[int], r_values: list[int]) -> list[BoundRow]:
     return rows
 
 
-_BOUND_FIELDS = [
-    "n", "r", "max_k_2col", "max_k_rcol", "lll_log10_D",
-    "ref_sqrt", "ref_power", "ratio_2col", "ratio_rcol", "lll_log10_ratio", "error",
-]
-
-
-def bound_table_to_csv(rows: list[BoundRow]) -> str:
+def csv_text(header: list[str], rows: list[list[Any]]) -> str:
+    """CSV with LF line ends; None is written as an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_BOUND_FIELDS)
-    for row in rows:
-        rec = asdict(row)
-        writer.writerow(["" if rec[f] is None else rec[f] for f in _BOUND_FIELDS])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def bound_table_from_csv(text: str) -> list[BoundRow]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        def num(key, cast=float):
-            return cast(rec[key]) if rec[key] not in ("", None) else None
+def bound_table_to_csv(rows: list[BoundRow]) -> str:
+    names = [f.name for f in fields(BoundRow)]
+    return csv_text(names, [[getattr(row, name) for name in names] for row in rows])
 
-        rows.append(
-            BoundRow(
-                n=int(rec["n"]),
-                r=int(rec["r"]),
-                max_k_2col=num("max_k_2col"),
-                max_k_rcol=num("max_k_rcol"),
-                lll_log10_D=num("lll_log10_D"),
-                ref_sqrt=float(rec["ref_sqrt"]),
-                ref_power=float(rec["ref_power"]),
-                ratio_2col=num("ratio_2col"),
-                ratio_rcol=num("ratio_rcol"),
-                lll_log10_ratio=num("lll_log10_ratio"),
-                error=rec["error"] or None,
-            )
-        )
+
+def bound_table_from_csv(text: str) -> list[BoundRow]:
+    """The inverse of :func:`bound_table_to_csv`; an empty optional cell is None."""
+    rows = []
+    for rec in csv.DictReader(io.StringIO(text)):
+        cells = {}
+        for f in fields(BoundRow):
+            base, optional = _base_type(f)
+            cell = rec[f.name]
+            cells[f.name] = None if optional and cell == "" else _FIELD_TYPES[base][2](cell)
+        rows.append(BoundRow(**cells))
     return rows
 
 
@@ -397,11 +431,7 @@ _CSV_METRICS = [
 
 
 def report_to_csv(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([name for name, _ in _CSV_METRICS])
-    writer.writerow(["" if (v := get(report)) is None else v for name, get in _CSV_METRICS])
-    return buf.getvalue()
+    return csv_text([name for name, _ in _CSV_METRICS], [[get(report) for _, get in _CSV_METRICS]])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .conflicts import IntervalPartition
 from .hypergraph import BirthTimeAssignment, Coloring, Hypergraph
 
 _MIXED = -1  # edge has seen at least two colors
@@ -250,12 +251,11 @@ def two_phase_color(
     """
     if r != 2:
         raise ValueError("two-phase coloring is defined for r = 2 only")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+    part = IntervalPartition(p)
     if len(t) != h.vertex_count:
         raise ValueError(f"birth times cover {len(t)} of {h.vertex_count} vertices")
     h.require_valid()
-    lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
+    lo, hi = part.lo, part.hi
     colors = [0] * h.vertex_count
     state = _EdgeState(h, r)
     precolored: list[int] = []

@@ -16,6 +16,10 @@ numpy arrays, and the pair, short-edge and B/P/R counts follow from those;
 enumerated row by row with :func:`hgcolor.conflicts._chains_from`. A batch
 is capped by a fixed element budget, so memory does not grow with the trial
 count, and reports do not depend on how trials split into batches.
+
+:func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
+trials into contiguous ranges, one per process: it runs the single range
+in-process, or hands each pool worker a pickled copy of the parent's engine.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from dataclasses import dataclass
+from itertools import starmap
 from math import log, sqrt
 
 import numpy as np
 from scipy.special import ndtri
 
-from .conflicts import DEFAULT_CHAIN_CEILING, _chains_from, _firsts_lasts_batch
+from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition, _chains_from, _firsts_lasts_batch
 from .errors import ChainCeilingError
 from .greedy import _succeeds_batch, equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
@@ -132,8 +137,8 @@ class _TrialEngine:
         self.v_count = h.vertex_count
         self.short_threshold = None if p is None else (1.0 - p) / r
         if p is not None:
-            self.part_lo = (1.0 - p) / 2.0
-            self.part_hi = (1.0 + p) / 2.0
+            part = IntervalPartition(p)
+            self.part_lo, self.part_hi = part.lo, part.hi
         # a singleton edge is its own first and last; (e, e) is not a pair
         self.singletons = np.bincount(
             [e[0] for e in h.edges if len(e) == 1], minlength=self.v_count
@@ -191,13 +196,6 @@ def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[
     return tuple(int(x) for x in totals)
 
 
-def _worker(args) -> tuple[int, ...]:
-    (edges, v_count, r, p, count_pairs, count_chains, ceiling, seed, start, stop) = args
-    h = Hypergraph(v_count, edges)
-    engine = _TrialEngine(h, r, p, count_pairs, count_chains, ceiling)
-    return _run_range(engine, seed, start, stop)
-
-
 def _pool_context():
     """fork where the platform offers it (workers start without re-importing
     anything), else the platform's default start method."""
@@ -244,21 +242,16 @@ def monte_carlo(
     else:
         cpus = os.cpu_count() or 1
     pool_size = min(workers, trials, cpus)
+    engine = _TrialEngine(h, r, p, count_pairs, count_chains, chain_ceiling)
+    cuts = np.linspace(0, trials, pool_size + 1, dtype=int)
+    jobs = [(engine, seed, int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
     if pool_size == 1:
-        engine = _TrialEngine(h, r, p, count_pairs, count_chains, chain_ceiling)
-        totals = _run_range(engine, seed, 0, trials)
+        parts = list(starmap(_run_range, jobs))
     else:
-        bounds = np.linspace(0, trials, pool_size + 1, dtype=int)
-        jobs = [
-            (h.edges, h.vertex_count, r, p, count_pairs, count_chains,
-             chain_ceiling, seed, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
+        # each worker receives a pickled copy of the engine
         with _pool_context().Pool(pool_size) as pool:
-            parts = pool.map(_worker, jobs)
-        totals = tuple(sum(col) for col in zip(*parts))
-    succ, pairs, short, cb, cp, cr, chains, flagged = totals
+            parts = pool.starmap(_run_range, jobs)
+    succ, pairs, short, cb, cp, cr, chains, flagged = (sum(col) for col in zip(*parts))
     est = _estimate(succ, trials)
     chain_trials = trials - flagged
     return MonteCarloReport(

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from hgcolor import loads_hypergraph
-from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
+from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
+
+TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers", "chain_ceiling")
 
 
 def run(capsys, *argv):
@@ -120,18 +122,58 @@ class TestBounds:
         assert len(lines) == 3
 
     def test_range_syntax_and_plot(self, tmp_path, capsys):
-        svg = tmp_path / "plot.svg"
+        csv_path, svg = tmp_path / "bounds.csv", tmp_path / "plot.svg"
         code, out, _ = run(
-            capsys, "bounds", "--n", "30:60:30", "--r", "2", "--plot", str(svg)
+            capsys, "bounds", "--n", "30:90:30", "--r", "2,3", "--out", str(csv_path), "--plot", str(svg)
         )
-        assert code == EXIT_OK
-        assert svg.read_text().startswith("<svg")
+        assert code == EXIT_OK and out == ""
+        assert len(csv_path.read_text().splitlines()) == 1 + 3 * 2
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        for name in ("max_k_2col", "max_k_rcol r=2", "max_k_rcol r=3"):
+            assert f">{name}</text>" in text
 
     def test_edge_size_below_two_rejected(self, capsys):
         code, out, err = run(capsys, "bounds", "--n", "1")
         assert code == EXIT_INVARIANT
         assert "n=1" in err and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("r", ["0", "1"])
+    def test_color_count_below_two_rejected(self, capsys, r):
+        code, out, err = run(capsys, "bounds", "--n", "50", "--r", r)
+        assert code == EXIT_INVARIANT
+        assert f"r={r}" in err and "Traceback" not in err
+        assert out == ""
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("ceiling", [None, "17"])
+    def test_mc_and_experiment_parse_the_same_trial_settings(self, monkeypatch, ceiling):
+        if ceiling is None:
+            monkeypatch.delenv("HGCOLOR_CHAIN_CEILING", raising=False)
+        else:
+            monkeypatch.setenv("HGCOLOR_CHAIN_CEILING", ceiling)
+        parser = build_parser()
+        for flags in ([], ["--r", "3", "--trials", "9", "--seed", "4", "--p", "0.2",
+                           "--count-chains", "--workers", "2", "--chain-ceiling", "5"]):
+            mc = vars(parser.parse_args(["mc", "--in", "x.hg", *flags]))
+            exp = vars(parser.parse_args(["experiment", "--in", "x.hg", *flags]))
+            assert {k: mc[k] for k in TRIAL_SETTINGS} == {k: exp[k] for k in TRIAL_SETTINGS}
+        if ceiling is not None:
+            assert mc["chain_ceiling"] == 5
+            assert vars(parser.parse_args(["mc", "--in", "x.hg"]))["chain_ceiling"] == 17
+
+    def test_oracle_and_experiment_read_the_budget_variable(self, monkeypatch):
+        monkeypatch.setenv("HGCOLOR_ORACLE_BUDGET", "123")
+        parser = build_parser()
+        oracle = parser.parse_args(["oracle", "--in", "x.hg"])
+        experiment = parser.parse_args(["experiment", "--in", "x.hg"])
+        assert oracle.oracle_budget == experiment.oracle_budget == 123
+
+    def test_color_p_is_not_the_interval_width(self):
+        args = build_parser().parse_args(["color", "--in", "x.hg", "--p", "0.3"])
+        assert args.p == 0.3 and not hasattr(args, "trials")
 
 
 class TestExperiment:
@@ -182,3 +224,22 @@ class TestExperiment:
             data.pop("timestamp")
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [1, 2],
+            {"source": {"kind": "fano"}, "trails": 3},
+            {"source": {"kind": "fano"}, "trials": "10"},
+            {"source": {"kind": "fano"}, "trials": 10.5},
+            {"source": {"kind": "complete", "m": 5}},
+        ],
+        ids=["list", "unknown-key", "str-trials", "float-trials", "missing-source-field"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == EXIT_INVARIANT
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""

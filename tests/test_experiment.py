@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from hgcolor.experiment import (
@@ -27,6 +30,41 @@ class TestConfig:
     def test_requires_source_kind(self):
         with pytest.raises(ValueError):
             ExperimentConfig(source={}, seed=1)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([1, 2], "JSON object, got list"),
+            ({"source": {"kind": "fano"}, "trails": 3}, "unknown config fields: trails"),
+            ({"trials": 3}, "needs a 'source' field"),
+            ({"source": {"kind": "fano"}, "trials": "10"}, "'trials' must be an integer, got '10'"),
+            ({"source": {"kind": "fano"}, "trials": 10.5}, "'trials' must be an integer, got 10.5"),
+            ({"source": {"kind": "fano"}, "seed": 2.0}, "'seed' must be an integer, got 2.0"),
+            ({"source": {"kind": "fano"}, "r": True}, "'r' must be an integer, got True"),
+            ({"source": {"kind": "fano"}, "p": "0.3"}, "'p' must be a number"),
+            ({"source": {"kind": "fano"}, "count_chains": 1}, "'count_chains' must be true or false"),
+            ({"source": {"kind": "fano"}, "out_dir": 5}, "'out_dir' must be a string"),
+            ({"source": "fano"}, "'source' must be an object"),
+        ],
+    )
+    def test_malformed_json_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+    def test_integral_values_accepted_as_int(self):
+        cfg = ExperimentConfig(source={"kind": "fano"}, trials=np.int64(10), seed=np.uint8(3), p=np.float32(0.5))
+        assert (cfg.trials, cfg.seed, cfg.p) == (10, 3, 0.5)
+        assert type(cfg.trials) is int and type(cfg.p) is float
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize(
+        "source, field",
+        [({"kind": "complete", "m": 5}, "'n'"), ({"kind": "random", "m": 5, "n": 3}, "'edges'")],
+    )
+    def test_missing_source_field_named(self, source, field):
+        cfg = ExperimentConfig(source=source, trials=5, seed=1)
+        with pytest.raises(ValueError, match=f"{source['kind']} source needs field {field}"):
+            run_experiment(cfg)
 
 
 class TestRunExperiment:
@@ -127,6 +165,16 @@ class TestBoundTable:
     def test_csv_round_trip(self):
         rows = bound_table([30, 60], [2, 3])
         assert bound_table_from_csv(bound_table_to_csv(rows)) == rows
+
+    def test_csv_round_trip_with_error_row(self):
+        rows = bound_table([3, 100], [2, 3])
+        assert any(row.error is not None for row in rows)
+        assert bound_table_from_csv(bound_table_to_csv(rows)) == rows
+
+    @pytest.mark.parametrize("r", [1, 0, -1])
+    def test_color_count_below_two_rejected(self, r):
+        with pytest.raises(ValueError, match=f"r >= 2, got r={r}"):
+            bound_table([50], [2, r])
 
 
 class TestSvg:
