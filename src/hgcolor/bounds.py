@@ -6,7 +6,9 @@ exact per-structure probabilities, and the local-lemma feasibility search
 over dependency degree D. Quantities like r^n and D^r dwarf the float range
 at interesting n, so every product with such exponents is a sum of logs;
 weights x = 1 - e^(-a/D) and y = 1 - e^(-b/(r D^r)) are handled through
-(a, b) so that D log(1-x) = -a and r D^r log(1-y) = -b stay exact.
+(a, b) so that D log(1-x) = -a and r D^r log(1-y) = -b stay exact. For
+fixed s = a + b the least feasible a and b have closed forms, so the
+search for weights at a given D is exact and one-dimensional in s.
 """
 
 from __future__ import annotations
@@ -256,6 +258,19 @@ def log1mexp(log_u: float) -> float:
     return log1p(-exp(-u))
 
 
+def log_neg_log1mexp(t: float) -> float:
+    """log(-log(1 - e^t)), stable for t from far below 0 up to 0; +inf for
+    t >= 0, where 1 - e^t <= 0. The inverse of log1mexp."""
+    if t >= 0.0:
+        return inf
+    if t < -37.0:
+        # -log(1 - e^t) = e^t (1 + e^t/2 + ...); the correction is below eps
+        return t
+    if t > -math.log(2.0):
+        return log(-log(-expm1(t)))
+    return log(-log1p(-exp(t)))
+
+
 @dataclass(frozen=True)
 class LLLFeasibility:
     feasible: bool
@@ -358,54 +373,6 @@ class LLLParams:
     def p2(self) -> float:
         return exp(self.log_p2)
 
-    @property
-    def x(self) -> float:
-        return -expm1(-exp(log(self.a) - self.log_D))
-
-    @property
-    def y(self) -> float:
-        return -expm1(-exp(log(self.b) - log(self.r) - self.r * self.log_D))
-
-    @property
-    def log_one_minus_x(self) -> float:
-        return -exp(log(self.a) - self.log_D)
-
-    @property
-    def log_one_minus_y(self) -> float:
-        return -exp(log(self.b) - log(self.r) - self.r * self.log_D)
-
-
-_AB_GRID = tuple(2.0**e for e in range(-6, 5))
-
-
-def _best_ab(log_p1: float, log_p2: float, log_D: float, r: int) -> tuple[float, float, float]:
-    """Maximize the minimum log-slack over (a, b): coarse log grid then
-    coordinate descent with multiplicative steps."""
-
-    def score(a: float, b: float) -> float:
-        res = lll_feasible_ab(log_p1, log_p2, log_D, r, a, b)
-        return min(res.log_slack1, res.log_slack2)
-
-    best_s, best_a, best_b = -inf, _AB_GRID[0], _AB_GRID[0]
-    for a in _AB_GRID:
-        for b in _AB_GRID:
-            s = score(a, b)
-            if s > best_s:
-                best_s, best_a, best_b = s, a, b
-    step = 0.5
-    for _ in range(400):
-        if step <= 1e-7:
-            break
-        moved = False
-        for fa, fb in ((1 + step, 1), (1 / (1 + step), 1), (1, 1 + step), (1, 1 / (1 + step))):
-            s = score(best_a * fa, best_b * fb)
-            if s > best_s:
-                best_s, best_a, best_b = s, best_a * fa, best_b * fb
-                moved = True
-        if not moved:
-            step /= 2.0
-    return best_s, best_a, best_b
-
 
 def structure_log_probabilities(n: int, r: int, p: float | None = None) -> tuple[float, float]:
     """(log P1, log P2): per-edge short probability bound n ((1-p)/r)^(n-1)
@@ -421,40 +388,57 @@ def structure_log_probabilities(n: int, r: int, p: float | None = None) -> tuple
     return log_p1, log_p2
 
 
-def max_degree_lll(
-    n: int, r: int, p: float | None = None, tol: float = 1e-6
-) -> LLLParams:
+def _lll_weights(log_p1: float, log_p2: float, log_D: float, r: int) -> tuple[float, float] | None:
+    """Weights (a, b) passing both lemma conditions at D, or None if none do.
+
+    At s = a + b the conditions read a >= A(s) = -D log(1 - P1 e^s) and
+    b >= B(s) = -r D^r log(1 - P2 e^(rs)), so weights exist iff
+    s > A(s) + B(s) for some s. A and B are convex and increasing, so
+    s / (A + B) is quasi-concave on (0, s_max) and golden section finds its
+    maximum. The slack s - A - B is split evenly between a and b, which keeps
+    both positive where A or B underflows.
+    """
+    log_r = log(r)
+
+    def log_ab(s: float) -> tuple[float, float]:
+        return (
+            log_D + log_neg_log1mexp(s + log_p1),
+            log_r + r * log_D + log_neg_log1mexp(r * s + log_p2),
+        )
+
+    def log_ratio(s: float) -> float:
+        # log((A + B) / s), the sum taken in logs
+        lo, hi = sorted(log_ab(s))
+        return hi + log1p(exp(lo - hi)) - log(s)
+
+    s, best = _golden_min(log_ratio, 0.0, min(-log_p1, -log_p2 / r))
+    if best >= 0.0:
+        return None
+    log_a, log_b = log_ab(s)
+    half_slack = -s * expm1(best) / 2.0
+    return exp(log_a) + half_slack, exp(log_b) + half_slack
+
+
+def max_degree_lll(n: int, r: int, p: float | None = None, tol: float = 1e-6) -> LLLParams:
     """Largest dependency degree D certified colorable by the local lemma.
 
-    Binary search on log D; at each candidate the weight parameters (a, b)
-    are grid-searched and refined. The result re-certifies through
-    lll_feasible_ab with nonnegative slack.
+    Binary search on log D to within tol; at each candidate the weights
+    (a, b) come from the exact one-dimensional search of _lll_weights and
+    are re-checked through lll_feasible_ab, so the result certifies with
+    nonnegative slack.
     """
     log_p1, log_p2 = structure_log_probabilities(n, r, p)
-    lo, hi = 0.0, -log_p1 + 10.0
-    s, a, b = _best_ab(log_p1, log_p2, lo, r)
-    if s < 0:
-        raise NumericRangeError(
-            f"local lemma infeasible even at D=1 for n={n}, r={r}"
-        )
-    best = (lo, a, b, s)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        s, a, b = _best_ab(log_p1, log_p2, mid, r)
-        if s >= 0:
-            lo = mid
-            best = (mid, a, b, s)
-        else:
-            hi = mid
-    log_D, a, b, _ = best
-    res = lll_feasible_ab(log_p1, log_p2, log_D, r, a, b)
-    return LLLParams(
-        log_D=log_D,
-        r=r,
-        log_p1=log_p1,
-        log_p2=log_p2,
-        a=a,
-        b=b,
-        log_slack1=res.log_slack1,
-        log_slack2=res.log_slack2,
-    )
+
+    def certify(log_D: float) -> LLLParams | None:
+        weights = _lll_weights(log_p1, log_p2, log_D, r)
+        if weights is None:
+            return None
+        res = lll_feasible_ab(log_p1, log_p2, log_D, r, *weights)
+        if not res.feasible:
+            return None
+        return LLLParams(log_D, r, log_p1, log_p2, *weights, res.log_slack1, res.log_slack2)
+
+    if certify(0.0) is None:
+        raise NumericRangeError(f"local lemma infeasible even at D=1 for n={n}, r={r}")
+    log_D = _max_feasible(lambda t: certify(t) is not None, 0.0, -log_p1 + 10.0, tol)
+    return certify(log_D)  # type: ignore[return-value]

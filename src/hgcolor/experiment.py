@@ -15,7 +15,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import Field, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from math import factorial, log, sqrt
 from typing import Any
 
@@ -47,7 +47,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
+            object.__setattr__(self, f.name, _checked(f"config field {f.name!r}", f.type, getattr(self, f.name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -56,6 +56,9 @@ class ExperimentConfig:
             raise ValueError("need r >= 2")
         if "kind" not in self.source:
             raise ValueError("source needs a 'kind' field")
+        for name, annotation in _SOURCE_TYPES.items():
+            if name in self.source:  # a copy already, so safe to update
+                self.source[name] = _checked(f"source field {name!r}", annotation, self.source[name])
         if self.source["kind"] == "file" and not os.path.exists(self.source.get("path", "")):
             raise ValueError(f"instance file not found: {self.source.get('path')!r}")
 
@@ -87,24 +90,26 @@ _FIELD_TYPES = {
 }
 
 
-def _base_type(f: Field) -> tuple[str, bool]:
+def _base_type(annotation: str) -> tuple[str, bool]:
     """A field's annotation as (base type, whether None is allowed)."""
-    base, _, rest = f.type.partition(" | ")
+    base, _, rest = annotation.partition(" | ")
     return base, rest == "None"
 
 
-def _checked(f: Field, value: Any) -> Any:
-    base, optional = _base_type(f)
+def _checked(name: str, annotation: str, value: Any) -> Any:
+    base, optional = _base_type(annotation)
     if value is None and optional:
         return None
     what, kind, plain = _FIELD_TYPES[base]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return plain(value)
 
 
-# the fields each instance source kind needs
+# the fields each instance source kind needs, and the base type of every
+# field a source may carry (a random source's seed is optional)
 _SOURCE_FIELDS = {"file": ("path",), "fano": (), "complete": ("m", "n"), "random": ("m", "n", "edges")}
+_SOURCE_TYPES = {"kind": "str", "path": "str", "m": "int", "n": "int", "edges": "int", "seed": "int"}
 
 
 def load_instance(source: dict[str, Any]) -> Hypergraph:
@@ -213,7 +218,7 @@ def bound_table_from_csv(text: str) -> list[BoundRow]:
     for rec in csv.DictReader(io.StringIO(text)):
         cells = {}
         for f in fields(BoundRow):
-            base, optional = _base_type(f)
+            base, optional = _base_type(f.type)
             cell = rec[f.name]
             cells[f.name] = None if optional and cell == "" else _FIELD_TYPES[base][2](cell)
         rows.append(BoundRow(**cells))

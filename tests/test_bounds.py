@@ -22,7 +22,14 @@ from hgcolor import (
     prob_edge_short_exact,
     two_color_bound,
 )
-from hgcolor.bounds import log1mexp, min_two_color_bound, reference_p, structure_log_probabilities
+from hgcolor.bounds import (
+    _lll_weights,
+    log1mexp,
+    log_neg_log1mexp,
+    min_two_color_bound,
+    reference_p,
+    structure_log_probabilities,
+)
 
 
 class TestTwoColorBound:
@@ -293,16 +300,88 @@ class TestLog1mexp:
     def test_tiny_arguments_against_mpmath(self):
         import mpmath
 
-        mpmath.mp.dps = 400
-        for u in (1e-300, 1e-30, 1e-12, 1e-6, 0.1, 5.0, 40.0):
-            want = float(mpmath.log(1 - mpmath.exp(-mpmath.mpf(u))))
-            assert log1mexp(log(u)) == pytest.approx(want, rel=1e-9)
+        with mpmath.workdps(400):
+            for u in (1e-300, 1e-30, 1e-12, 1e-6, 0.1, 5.0, 40.0):
+                want = float(mpmath.log(1 - mpmath.exp(-mpmath.mpf(u))))
+                assert log1mexp(log(u)) == pytest.approx(want, rel=1e-9)
 
     def test_tiny_argument_asymptotics(self):
         assert log1mexp(-800.0) == pytest.approx(-800.0)
 
 
+class TestLogNegLog1mexp:
+    def test_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(400):
+            for t in (-3470.0, -800.0, -37.5, -36.0, -1.0, -1e-3):
+                want = float(mpmath.log(-mpmath.log1p(-mpmath.exp(mpmath.mpf(t)))))
+                assert log_neg_log1mexp(t) == pytest.approx(want, rel=1e-13)
+
+    def test_inverts_log1mexp(self):
+        for t in (-50.0, -5.0, -0.5, -1e-6):
+            assert log1mexp(log_neg_log1mexp(t)) == pytest.approx(t, rel=1e-12)
+
+    def test_nonnegative_argument_is_infinite(self):
+        assert log_neg_log1mexp(0.0) == math.inf
+        assert log_neg_log1mexp(1.0) == math.inf
+
+
+# a dense log grid of local-lemma weights: 2^(k/8) for k = -80 .. 8
+_WEIGHT_GRID = [2.0 ** (k / 8) for k in range(-80, 9)]
+
+# log D certified at the cells of `hgcolor bounds --n 50:500:50 --r 2,3` by
+# the grid plus coordinate-descent weight search that the exact search replaced
+_GRID_SEARCH_LOG_D = {
+    2: [32.9977712690672, 67.92192505606434, 102.74073109465044, 137.51459842025275,
+        172.26331738224962, 206.9959093125758, 241.7172607831967, 276.4303217089673,
+        311.1370110754176, 345.83864797951117],
+    3: [52.897597275909575, 108.18265149728268, 163.32792950121782, 218.41352827075366,
+        273.4654731546164, 328.4964614364911, 383.51220442840827, 438.5170396255652,
+        493.5132725282907, 548.5029202245921],
+}
+
+
+def _grid_feasible(log_p1, log_p2, log_D, r, grid=_WEIGHT_GRID):
+    return any(lll_feasible_ab(log_p1, log_p2, log_D, r, a, b).feasible for a in grid for b in grid)
+
+
+class TestLLLWeights:
+    def test_finds_weights_wherever_the_grid_does(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n, r = int(rng.integers(3, 80)), int(rng.integers(2, 5))
+            log_p1, log_p2 = structure_log_probabilities(n, r)
+            log_D = float(rng.uniform(0.0, -log_p1))
+            weights = _lll_weights(log_p1, log_p2, log_D, r)
+            found = weights is not None and lll_feasible_ab(log_p1, log_p2, log_D, r, *weights).feasible
+            if not found:
+                assert not _grid_feasible(log_p1, log_p2, log_D, r, _WEIGHT_GRID[::2]), (n, r, log_D)
+
+    def test_weights_are_positive_where_b_underflows(self):
+        # P2 e^(rs) is far below the float range at n=350, r=3, D=1
+        log_p1, log_p2 = structure_log_probabilities(350, 3)
+        a, b = _lll_weights(log_p1, log_p2, 0.0, 3)
+        assert a > 0 and b > 0
+        assert lll_feasible_ab(log_p1, log_p2, 0.0, 3, a, b).feasible
+
+
 class TestMaxDegreeLLL:
+    def test_infeasible_at_unit_degree_is_loud(self):
+        with pytest.raises(NumericRangeError):
+            max_degree_lll(3, 2)
+
+    def test_no_grid_weights_beat_the_certificate(self):
+        tol = 1e-6
+        for n, r in [(4, 2), (5, 3), (11, 4), (50, 2), (100, 3), (500, 3)]:
+            cert = max_degree_lll(n, r, tol=tol)
+            assert not _grid_feasible(cert.log_p1, cert.log_p2, cert.log_D + 2 * tol, r), (n, r)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_at_least_the_grid_search_degree(self, r):
+        for n, old in zip(range(50, 501, 50), _GRID_SEARCH_LOG_D[r]):
+            assert max_degree_lll(n, r).log_D >= old, (n, r)
+
     def test_self_certification(self):
         for n, r in [(50, 2), (100, 3), (500, 2)]:
             cert = max_degree_lll(n, r)

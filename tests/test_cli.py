@@ -233,8 +233,24 @@ class TestExperiment:
             {"source": {"kind": "fano"}, "trials": "10"},
             {"source": {"kind": "fano"}, "trials": 10.5},
             {"source": {"kind": "complete", "m": 5}},
+            {"source": {"kind": "complete", "m": "7", "n": 3}},
+            {"source": {"kind": "random", "m": 8, "n": 3, "edges": "5"}},
+            {"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "seed": "x"}},
+            {"source": {"kind": "random", "m": 8.0, "n": 3, "edges": 5}},
+            {"source": {"kind": "file", "path": 2}},
         ],
-        ids=["list", "unknown-key", "str-trials", "float-trials", "missing-source-field"],
+        ids=[
+            "list",
+            "unknown-key",
+            "str-trials",
+            "float-trials",
+            "missing-source-field",
+            "str-complete-m",
+            "str-random-edges",
+            "str-random-seed",
+            "float-random-m",
+            "int-file-path",
+        ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"

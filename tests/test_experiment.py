@@ -45,11 +45,23 @@ class TestConfig:
             ({"source": {"kind": "fano"}, "count_chains": 1}, "'count_chains' must be true or false"),
             ({"source": {"kind": "fano"}, "out_dir": 5}, "'out_dir' must be a string"),
             ({"source": "fano"}, "'source' must be an object"),
+            ({"source": {"kind": "complete", "m": "7", "n": 3}}, "source field 'm' must be an integer, got '7'"),
+            ({"source": {"kind": "random", "m": 8, "n": 3, "edges": "5"}}, "source field 'edges' must be an integer"),
+            ({"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "seed": "x"}}, "source field 'seed' must be"),
+            ({"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "seed": True}}, "'seed' must be an integer, got True"),
+            ({"source": {"kind": "random", "m": 8.0, "n": 3, "edges": 5}}, "source field 'm' must be an integer, got 8.0"),
+            ({"source": {"kind": "file", "path": 2}}, "source field 'path' must be a string, got 2"),
         ],
     )
     def test_malformed_json_rejected(self, raw, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(json.dumps(raw))
+
+    def test_integral_source_values_stored_as_int(self):
+        source = {"kind": "random", "m": np.int64(8), "n": np.uint8(3), "edges": 5}
+        cfg = ExperimentConfig(source=source, trials=5)
+        assert all(type(cfg.source[k]) is int for k in ("m", "n", "edges"))
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
     def test_integral_values_accepted_as_int(self):
         cfg = ExperimentConfig(source={"kind": "fano"}, trials=np.int64(10), seed=np.uint8(3), p=np.float32(0.5))
