@@ -7,7 +7,6 @@ oracles cross-validated by seeded Monte Carlo.
 """
 
 from .bounds import (
-    AnalysisParams,
     LLLFeasibility,
     LLLParams,
     expected_conflicting_chains,

@@ -27,31 +27,6 @@ SEARCH_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class AnalysisParams:
-    """Symbols of the counting bounds: uniformity n, colors r, edge-count
-    coefficient k (edge count = k 2^(n-1) for r=2, k r^(n-2) generally),
-    middle-interval width p, and the scaling constant c in c sqrt(n/ln n)."""
-
-    n: int
-    r: int = 2
-    k: float = 1.0
-    p: float = 0.5
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 2 or self.r < 2 or self.k <= 0 or self.c <= 0:
-            raise ValueError(f"invalid analysis parameters: {self}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0,1), got {self.p}")
-
-    @property
-    def edge_count(self) -> float:
-        if self.r == 2:
-            return self.k * 2.0 ** (self.n - 1)
-        return self.k * self.r ** (self.n - 2)
-
-
 def reference_p(n: int) -> float:
     """The fixed interval width 2 ln(n)/n used by the r-coloring bounds."""
     if n < 3:
@@ -348,8 +323,9 @@ def lll_feasible_ab(
 class LLLParams:
     """A certified local-lemma configuration at dependency degree D.
 
-    Float fields can round to 0 or inf at the scales involved; log fields
-    are authoritative.
+    D, P1 and P2 are kept only as logs, since they leave the float range at
+    the scales involved; (a, b) are the weights of :func:`lll_feasible_ab`,
+    and the slacks are its log RHS - log P of the two inequalities.
     """
 
     log_D: float
@@ -360,18 +336,6 @@ class LLLParams:
     b: float
     log_slack1: float
     log_slack2: float
-
-    @property
-    def D(self) -> float:
-        return exp(self.log_D)
-
-    @property
-    def p1(self) -> float:
-        return exp(self.log_p1)
-
-    @property
-    def p2(self) -> float:
-        return exp(self.log_p2)
 
 
 def structure_log_probabilities(n: int, r: int, p: float | None = None) -> tuple[float, float]:

@@ -31,11 +31,11 @@ from .experiment import (
     bound_table,
     bound_table_to_csv,
     csv_text,
+    load_instance,
     run_experiment,
     svg_plot,
     write_report_files,
 )
-from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
 from .greedy import greedy_color, sample_birth_times, two_phase_color
 from .hypergraph import is_proper, read_hypergraph, write_hypergraph
 from .montecarlo import monte_carlo
@@ -77,12 +77,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "fano":
-        h = gen_fano()
-    elif args.kind == "complete":
-        h = gen_complete_uniform(args.m, args.n)
-    else:
-        h = gen_random_uniform(args.m, args.n, args.edges, args.seed)
+    source = {"kind": args.kind, "m": args.m, "n": args.n, "edges": args.edges, "seed": args.seed}
+    h = load_instance(source)
     if args.out:
         write_hypergraph(h, args.out)
     else:
@@ -165,6 +161,8 @@ def _parse_int_list(text: str) -> list[int]:
     """'50:500:50' ranges or '3,4,5' lists."""
     if ":" in text:
         parts = [int(x) for x in text.split(":")]
+        if len(parts) > 3:
+            raise ValueError(f"a range is start:stop or start:stop:step, got {text!r}")
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
         return list(range(start, stop + 1, step))

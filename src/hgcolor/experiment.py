@@ -3,7 +3,9 @@ CSV/JSON/SVG serialization.
 
 All numeric report content is a deterministic function of the config and
 seed (worker count included); the only nondeterministic field is the
-timestamp, which comparison helpers exclude.
+timestamp, which comparison helpers exclude. A report takes the Wilson
+interval and uniformity from the Monte Carlo report and an over-budget note
+from the oracle's own error, so nothing is computed twice.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, fields
-from math import factorial, log, sqrt
+from math import log, sqrt
 from typing import Any
 
 from . import bounds
 from .errors import BudgetExceededError, NumericRangeError
 from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
-from .hypergraph import Hypergraph, read_hypergraph, uniformity
-from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, monte_carlo, wilson_interval, Z99
+from .hypergraph import Hypergraph, read_hypergraph
+from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, monte_carlo
 from .oracle import DEFAULT_ORACLE_BUDGET, greedy_success_exact, is_r_colorable
 
 
@@ -56,6 +58,8 @@ class ExperimentConfig:
             raise ValueError("need r >= 2")
         if "kind" not in self.source:
             raise ValueError("source needs a 'kind' field")
+        if unknown := sorted(map(str, self.source.keys() - _SOURCE_TYPES.keys())):
+            raise ValueError(f"unknown source fields: {', '.join(unknown)}")
         for name, annotation in _SOURCE_TYPES.items():
             if name in self.source:  # a copy already, so safe to update
                 self.source[name] = _checked(f"source field {name!r}", annotation, self.source[name])
@@ -153,8 +157,10 @@ def bound_table(n_values: list[int], r_values: list[int]) -> list[BoundRow]:
 
     Numeric range failures mark the cell; the table always completes.
     Edge sizes n < 2 have no reference scale n/ln(n), and color counts
-    r < 2 no r-coloring rate; both are rejected.
+    r < 2 no r-coloring rate; both are rejected, as is an empty n or r list.
     """
+    if not n_values or not r_values:
+        raise ValueError(f"bound table needs at least one n and one r, got {n_values} and {r_values}")
     for n in n_values:
         if n < 2:
             raise ValueError(f"bound table needs edge sizes n >= 2, got n={n}")
@@ -331,23 +337,16 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
         workers=config.workers,
         chain_ceiling=config.chain_ceiling,
     )
-    if mc.interval_counts is not None and mc.total_conflicting_pairs is not None:
-        if sum(mc.interval_counts) != mc.total_conflicting_pairs:
-            violations.append(
-                "interval-attributed conflicting pairs do not sum to the total"
-            )
+    if mc.interval_counts is not None and sum(mc.interval_counts) != mc.total_conflicting_pairs:
+        violations.append("interval-attributed conflicting pairs do not sum to the total")
 
     oracle_sec = OracleSection(within_budget=False, note="oracle disabled")
     if config.run_oracle:
         try:
-            if factorial(h.vertex_count) > config.oracle_budget:
-                raise BudgetExceededError(
-                    f"{h.vertex_count}! exceeds oracle budget {config.oracle_budget}"
-                )
             stats = greedy_success_exact(h, config.r, config.oracle_budget)
             colorable, _ = is_r_colorable(h, config.r, config.oracle_budget)
             prob = stats.success_probability
-            lo, hi = wilson_interval(mc.successes, mc.trials, Z99)
+            lo, hi = mc.wilson99
             inside = lo <= float(prob) <= hi
             if prob == 0 and mc.successes > 0:
                 violations.append("successes observed on an instance with zero exact probability")
@@ -364,23 +363,17 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
         except BudgetExceededError as exc:
             oracle_sec = OracleSection(within_budget=False, note=str(exc))
 
-    cert = uniformity(h)
+    n, r, p = mc.uniformity_n, config.r, mc.p
     bound_sec = BoundSection(None, None, None, None, None, mc.mean_short_edges, mc.mean_conflicting_pairs)
-    if cert is not None and mc.p is not None and h.edge_count:
-        n = cert.n
-        k = h.edge_count / (2.0 ** (n - 1) if config.r == 2 else config.r ** (n - 2))
-        params = bounds.AnalysisParams(n=n, r=config.r, k=k, p=mc.p)
-        opt = bounds.optimize_p(params.k, params.n) if config.r == 2 else None
+    if n is not None and p is not None and h.edge_count:
+        k = h.edge_count / (2.0 ** (n - 1) if r == 2 else r ** (n - 2))
+        opt = bounds.optimize_p(k, n) if r == 2 else None
         bound_sec = BoundSection(
-            k_coefficient=params.k,
+            k_coefficient=k,
             best_p=opt.best_p if opt else None,
             two_color_bound=opt.best_value if opt else None,
-            expected_short_edges=bounds.expected_short_edges(
-                params.k, params.n, params.r, params.p
-            ),
-            expected_conflicting_chains=bounds.expected_conflicting_chains(
-                params.k, params.n, params.r, params.p
-            ),
+            expected_short_edges=bounds.expected_short_edges(k, n, r, p),
+            expected_conflicting_chains=bounds.expected_conflicting_chains(k, n, r, p),
             empirical_mean_short=mc.mean_short_edges,
             empirical_mean_pairs=mc.mean_conflicting_pairs,
         )
@@ -390,7 +383,7 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
         instance={
             "vertex_count": h.vertex_count,
             "edge_count": h.edge_count,
-            "uniformity_n": cert.n if cert else None,
+            "uniformity_n": n,
             "warnings": [v.message for v in checks if v.severity == "warning"],
         },
         mc=_mc_asdict(mc),

@@ -12,10 +12,12 @@ times, row i still drawn from (master seed, i). The greedy sweep
 (:func:`hgcolor.conflicts._firsts_lasts_batch`) handle a whole batch as
 numpy arrays, and the pair, short-edge and B/P/R counts follow from those;
 :func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions of
-:mod:`hgcolor.conflicts` are their references in the tests. Chains are
-enumerated row by row with :func:`hgcolor.conflicts._chains_from`. A batch
-is capped by a fixed element budget, so memory does not grow with the trial
-count, and reports do not depend on how trials split into batches.
+:mod:`hgcolor.conflicts` are their references in the tests. Pairs are
+counted in every trial, short edges and B/P/R whenever there is a p; chains
+are counted on request, row by row with
+:func:`hgcolor.conflicts._chains_from`. A batch is capped by a fixed element
+budget, so memory does not grow with the trial count, and reports do not
+depend on how trials split into batches.
 
 :func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
 trials into contiguous ranges, one per process: it runs the single range
@@ -36,7 +38,7 @@ from scipy.special import ndtri
 from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition, _chains_from, _firsts_lasts_batch
 from .errors import ChainCeilingError
 from .greedy import _succeeds_batch, equitable_partition_color
-from .hypergraph import Hypergraph, uniformity
+from .hypergraph import Hypergraph, is_proper, uniformity
 
 Z95 = float(ndtri(0.975))
 Z99 = float(ndtri(0.995))
@@ -100,8 +102,8 @@ class MonteCarloReport:
     estimate: float
     wilson95: tuple[float, float]
     wilson99: tuple[float, float]
-    total_conflicting_pairs: int | None
-    mean_conflicting_pairs: float | None
+    total_conflicting_pairs: int
+    mean_conflicting_pairs: float
     total_short_edges: int | None
     mean_short_edges: float | None
     interval_counts: tuple[int, int, int] | None
@@ -124,14 +126,12 @@ class _TrialEngine:
         h: Hypergraph,
         r: int,
         p: float | None,
-        count_pairs: bool,
         count_chains: bool,
         chain_ceiling: int,
     ):
         self.h = h
         self.r = r
         self.p = p
-        self.count_pairs = count_pairs
         self.count_chains = count_chains
         self.chain_ceiling = chain_ceiling
         self.v_count = h.vertex_count
@@ -154,25 +154,22 @@ class _TrialEngine:
         # a stable sort by time alone breaks ties by ascending index
         orders = np.argsort(times, axis=1, kind="stable")
         out[:, 0] = _succeeds_batch(self.h, orders, self.r)
-        if not (self.count_pairs or self.count_chains or self.short_threshold is not None):
-            return out
         firsts, lasts = _firsts_lasts_batch(self.h.edge_matrix, orders)
         rows = np.arange(trials)[:, None]
         if self.short_threshold is not None:
             span = times[rows, lasts] - times[rows, firsts]
             out[:, 2] = np.count_nonzero(span < self.short_threshold, axis=1)
-        if self.count_pairs:
-            # pairs meeting at v: (edges last at v) x (edges first at v)
-            offset = rows * v_count
-            n_first = np.bincount((firsts + offset).ravel(), minlength=trials * v_count)
-            n_last = np.bincount((lasts + offset).ravel(), minlength=trials * v_count)
-            here = (n_first * n_last).reshape(trials, v_count) - self.singletons
-            out[:, 1] = here.sum(axis=1)
-            if self.p is not None:
-                below = times < self.part_lo
-                out[:, 3] = (here * below).sum(axis=1)
-                out[:, 4] = (here * (~below & (times < self.part_hi))).sum(axis=1)
-                out[:, 5] = (here * (times >= self.part_hi)).sum(axis=1)
+        # pairs meeting at v: (edges last at v) x (edges first at v)
+        offset = rows * v_count
+        n_first = np.bincount((firsts + offset).ravel(), minlength=trials * v_count)
+        n_last = np.bincount((lasts + offset).ravel(), minlength=trials * v_count)
+        here = (n_first * n_last).reshape(trials, v_count) - self.singletons
+        out[:, 1] = here.sum(axis=1)
+        if self.p is not None:
+            below = times < self.part_lo
+            out[:, 3] = (here * below).sum(axis=1)
+            out[:, 4] = (here * (~below & (times < self.part_hi))).sum(axis=1)
+            out[:, 5] = (here * (times >= self.part_hi)).sum(axis=1)
         if self.count_chains:
             sets = self.h.edge_sets
             for i in range(trials):
@@ -210,7 +207,6 @@ def monte_carlo(
     trials: int,
     seed: int,
     p: float | None = None,
-    count_pairs: bool = True,
     count_chains: bool = False,
     workers: int = 1,
     chain_ceiling: int = DEFAULT_CHAIN_CEILING,
@@ -242,7 +238,7 @@ def monte_carlo(
     else:
         cpus = os.cpu_count() or 1
     pool_size = min(workers, trials, cpus)
-    engine = _TrialEngine(h, r, p, count_pairs, count_chains, chain_ceiling)
+    engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
     cuts = np.linspace(0, trials, pool_size + 1, dtype=int)
     jobs = [(engine, seed, int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
     if pool_size == 1:
@@ -265,11 +261,11 @@ def monte_carlo(
         estimate=est.estimate,
         wilson95=est.wilson95,
         wilson99=est.wilson99,
-        total_conflicting_pairs=pairs if count_pairs else None,
-        mean_conflicting_pairs=pairs / trials if count_pairs else None,
+        total_conflicting_pairs=pairs,
+        mean_conflicting_pairs=pairs / trials,
         total_short_edges=short if p is not None else None,
         mean_short_edges=short / trials if p is not None else None,
-        interval_counts=(cb, cp, cr) if (count_pairs and p is not None and r == 2) else None,
+        interval_counts=(cb, cp, cr) if (p is not None and r == 2) else None,
         total_conflicting_chains=chains if count_chains else None,
         mean_conflicting_chains=(
             chains / chain_trials if count_chains and chain_trials else None
@@ -285,22 +281,5 @@ def baseline_equitable_success(
     h.require_valid()
     if trials < 1:
         raise ValueError("need at least one trial")
-    edges = h.edges
-    succ = 0
-    for i in range(trials):
-        coloring = equitable_partition_color(h, [seed, i], r)
-        colors = coloring.colors
-        ok = True
-        for e in edges:
-            c0 = colors[e[0]]
-            mono = True
-            for u in e:
-                if colors[u] != c0:
-                    mono = False
-                    break
-            if mono:
-                ok = False
-                break
-        if ok:
-            succ += 1
+    succ = sum(is_proper(h, equitable_partition_color(h, [seed, i], r))[0] for i in range(trials))
     return _estimate(succ, trials)

@@ -52,7 +52,7 @@ def suite_mc():
     results = []
     for name, h, r in fixed_suite():
         exact = greedy_success_exact(h, r).success_probability
-        rep = monte_carlo(h, r, SUITE_TRIALS, SUITE_SEED, count_pairs=False)
+        rep = monte_carlo(h, r, SUITE_TRIALS, SUITE_SEED)
         results.append((name, h, r, exact, rep))
     return results
 
@@ -152,9 +152,9 @@ def test_criterion_4_oracle_agreement(suite_mc):
         lo, hi = rep.wilson99
         if lo <= float(exact) <= hi:
             inside += 1
-    fano_rep = monte_carlo(gen_fano(), 2, 100_000, SUITE_SEED, count_pairs=False)
+    fano_rep = monte_carlo(gen_fano(), 2, 100_000, SUITE_SEED)
     single = Hypergraph(3, [(0, 1, 2)])
-    single_rep = monte_carlo(single, 2, 100_000, SUITE_SEED, count_pairs=False)
+    single_rep = monte_carlo(single, 2, 100_000, SUITE_SEED)
     ok = inside >= 38 and fano_rep.successes == 0 and single_rep.successes == 100_000
     report(
         "criterion 4 (oracle agreement)",

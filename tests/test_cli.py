@@ -139,6 +139,21 @@ class TestBounds:
         assert "n=1" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "5:3"], "at least one n and one r"),
+            (["--n", "50", "--r", "3:2"], "at least one n and one r"),
+            (["--n", "50:500:50:7"], "start:stop or start:stop:step"),
+        ],
+    )
+    def test_bad_range_rejected_before_writing(self, tmp_path, capsys, flags, message):
+        csv_path, svg = tmp_path / "bounds.csv", tmp_path / "plot.svg"
+        code, out, err = run(capsys, "bounds", *flags, "--out", str(csv_path), "--plot", str(svg))
+        assert code == EXIT_INVARIANT
+        assert message in err and "Traceback" not in err
+        assert out == "" and not csv_path.exists() and not svg.exists()
+
     @pytest.mark.parametrize("r", ["0", "1"])
     def test_color_count_below_two_rejected(self, capsys, r):
         code, out, err = run(capsys, "bounds", "--n", "50", "--r", r)
@@ -238,6 +253,7 @@ class TestExperiment:
             {"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "seed": "x"}},
             {"source": {"kind": "random", "m": 8.0, "n": 3, "edges": 5}},
             {"source": {"kind": "file", "path": 2}},
+            {"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "sede": 3}},
         ],
         ids=[
             "list",
@@ -250,6 +266,7 @@ class TestExperiment:
             "str-random-seed",
             "float-random-m",
             "int-file-path",
+            "unknown-source-field",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, raw):

@@ -51,6 +51,7 @@ class TestConfig:
             ({"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "seed": True}}, "'seed' must be an integer, got True"),
             ({"source": {"kind": "random", "m": 8.0, "n": 3, "edges": 5}}, "source field 'm' must be an integer, got 8.0"),
             ({"source": {"kind": "file", "path": 2}}, "source field 'path' must be a string, got 2"),
+            ({"source": {"kind": "random", "m": 8, "n": 3, "edges": 5, "sede": 3}}, "^unknown source fields: sede$"),
         ],
     )
     def test_malformed_json_rejected(self, raw, message):
@@ -150,6 +151,14 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.oracle["within_budget"] is False
         assert "budget" in report.oracle["note"]
+
+    def test_oracle_budget_note_is_the_oracles_message(self):
+        from hgcolor import BudgetExceededError, gen_fano, greedy_success_exact
+
+        cfg = ExperimentConfig(source={"kind": "fano"}, trials=20, seed=1, oracle_budget=10)
+        with pytest.raises(BudgetExceededError) as exc:
+            greedy_success_exact(gen_fano(), 2, 10)
+        assert run_experiment(cfg).oracle["note"] == str(exc.value) == "7! orderings exceed budget 10"
 
 
 class TestBoundTable:

@@ -10,6 +10,7 @@ from hgcolor import (
     wilson_interval,
 )
 from hgcolor.montecarlo import Z95, Z99, default_p
+from hgcolor.suite import fixed_suite
 
 
 class TestWilson:
@@ -117,6 +118,16 @@ class TestEquitableBaseline:
         rep = baseline_equitable_success(Hypergraph(3, [(0, 1, 2)]), 2, 300, seed=2)
         assert rep.successes == 300
 
+    @pytest.mark.parametrize(
+        "name, r, successes",
+        [("fano_r2", 2, 0), ("fano_r3", 3, 409), ("random_m8_n3_e12_r3_s11", 3, 304)],
+    )
+    def test_pinned_success_counts(self, name, r, successes):
+        # pinned at a fixed seed: a change to the draws or to the properness check shows here
+        h = {n: h for n, h, _ in fixed_suite()}[name]
+        rep = baseline_equitable_success(h, r, 500, seed=7)
+        assert (rep.trials, rep.successes) == (500, successes)
+
 
 def test_engine_counts_match_reference_structures():
     """The trial engine's inline pair/short counting agrees with the
@@ -134,7 +145,7 @@ def test_engine_counts_match_reference_structures():
     def check(hwt):
         h, times = hwt
         p = 0.4
-        engine = _TrialEngine(h, 2, p, count_pairs=True, count_chains=False,
+        engine = _TrialEngine(h, 2, p, count_chains=False,
                               chain_ceiling=10**6)
         (row,) = engine.run(np.array([times], dtype=float).reshape(1, h.vertex_count))
         _, n_pairs, n_short, cb, cp, cr, _, _ = row.tolist()
@@ -185,7 +196,7 @@ def test_batch_rows_match_scalar_references():
             max_size=4,
         ))
         block = np.array([times, *more], dtype=float).reshape(-1, v)
-        engine = _TrialEngine(h, r, p, count_pairs=True, count_chains=True,
+        engine = _TrialEngine(h, r, p, count_chains=True,
                               chain_ceiling=ceiling)
         for row, got in zip(block, engine.run(block).tolist()):
             t = BirthTimeAssignment(row.tolist())
@@ -223,7 +234,7 @@ def test_success_exact_beyond_one_word_of_colors(r):
             ).tolist(), r)
             for i in range(trials)
         )
-        rep = monte_carlo(h, r, trials, seed, count_pairs=False)
+        rep = monte_carlo(h, r, trials, seed)
         assert rep.successes == want
 
 
@@ -236,12 +247,12 @@ def test_report_independent_of_batch_split(monkeypatch):
     from hgcolor.montecarlo import _TrialEngine
 
     h = gen_random_uniform(40, 8, 200, seed=1)
-    batch = _TrialEngine(h, 2, None, True, False, 10).batch
+    batch = _TrialEngine(h, 2, None, False, 10).batch
     trials = 2 * batch + 3
     serial = monte_carlo(h, 2, trials, seed=12)
     assert serial == monte_carlo(h, 2, trials, seed=12, workers=2)
     monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 1)
-    assert _TrialEngine(h, 2, None, True, False, 10).batch == 1
+    assert _TrialEngine(h, 2, None, False, 10).batch == 1
     assert serial == monte_carlo(h, 2, trials, seed=12)
 
 
