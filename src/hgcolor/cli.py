@@ -165,7 +165,10 @@ def _parse_int_list(text: str) -> list[int]:
             raise ValueError(f"a range is start:stop or start:stop:step, got {text!r}")
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
+        if step == 0:
+            raise ValueError(f"a range step must not be zero, got {text!r}")
+        # the stop is included whichever way the range runs
+        return list(range(start, stop + (1 if step > 0 else -1), step))
     return [int(x) for x in text.split(",")]
 
 

@@ -262,6 +262,86 @@ def _chains_from(
     return out
 
 
+def _chains_batch(
+    h: Hypergraph,
+    firsts: np.ndarray,
+    lasts: np.ndarray,
+    r: int,
+    ceiling: int,
+    cap: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_chains_from for each row of `firsts` and `lasts` (trials x edges
+    arrays of first and last vertices), for r >= 3: each row's chain count
+    and whether it exceeds `ceiling`, where _chains_from raises. A flagged
+    row counts 0 chains.
+
+    The walks of all rows grow together, one edge per step, from every edge:
+    a walk ending in edge e of row i takes each edge of row i first at
+    last(e), except e itself and the edges that meet an earlier edge of the
+    walk (`h.edges_meet`). The steps run depth first,
+    each in sub-batches of at most min(cap / r, ceiling + 1) candidate
+    extensions (or one walk's, if it has more), so a step's walk arrays hold
+    at most `cap` entries; the walks of a row are dropped once its count
+    passes the ceiling, so a row with plentiful chains stops soon after.
+    """
+    trials, m = firsts.shape
+    v_count, meet = h.vertex_count, h.edges_meet
+    rows = np.arange(trials)[:, None]
+    # CSR over (row, vertex): the edges of row i first at v are
+    # members[starts[k] : starts[k] + sizes[k]], k = i * v_count + v
+    sizes = np.bincount((firsts + rows * v_count).ravel(), minlength=trials * v_count)
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(firsts, axis=1).astype(np.int32).ravel()
+    # the CSR key a walk ending in edge e of row i continues from
+    nxt = (lasts + rows * v_count).ravel()
+    counts = np.zeros(trials, dtype=np.int64)
+    flagged = np.zeros(trials, dtype=bool)
+    cap = min(cap // r, ceiling + 1)
+
+    def longer(row: np.ndarray, path: list[np.ndarray]):
+        """The walks (row, path) one edge longer, sub-batch by sub-batch;
+        at the last step only their rows."""
+        if flagged.any():
+            keep = ~flagged[row]
+            row, path = row[keep], [e[keep] for e in path]
+        key = nxt[row * m + path[-1]]
+        size, shift = sizes[key], starts[key]
+        ends = np.cumsum(size)
+        # candidate g (of all the step's candidates) sits at members[g + shift]
+        shift -= ends - size
+        lo = 0
+        while lo < len(row):
+            base = ends[lo] - size[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+            src = np.repeat(np.arange(lo, hi, dtype=np.int32), size[lo:hi])
+            j = members[np.arange(base, ends[hi - 1]) + shift[src]]
+            keep = j != path[-1][src]
+            for e in path[:-1]:
+                keep &= ~meet[e[src], j]
+            src, j = src[keep], j[keep]
+            yield row[src], (None if len(path) == r - 1 else [e[src] for e in path] + [j])
+            lo = hi
+
+    # depth first: a stack of the unfinished steps, the deepest on top (a
+    # recursive closure would keep these arrays alive in a reference cycle
+    # until the cyclic garbage collector runs)
+    stack = [longer(
+        np.repeat(np.arange(trials, dtype=np.int32), m),
+        [np.tile(np.arange(m, dtype=np.int32), trials)],
+    )]
+    while stack:
+        for row, path in stack[-1]:
+            if path is None:
+                counts += np.bincount(row, minlength=trials)
+                flagged = counts > ceiling
+            elif len(row):
+                stack.append(longer(row, path))
+                break
+        else:
+            stack.pop()
+    return np.where(flagged, 0, counts), flagged
+
+
 def short_edges(
     h: Hypergraph, t: BirthTimeAssignment, r: int, p: float
 ) -> list[int]:

@@ -10,18 +10,21 @@ Trials run in batches: the rows of one (trials x vertices) array of birth
 times, row i still drawn from (master seed, i). The greedy sweep
 (:func:`hgcolor.greedy._succeeds_batch`) and the first/last vertices
 (:func:`hgcolor.conflicts._firsts_lasts_batch`) handle a whole batch as
-numpy arrays, and the pair, short-edge and B/P/R counts follow from those;
+numpy arrays, and the pair, short-edge and B/P/R counts follow from those.
+Chains are counted on request for the whole batch too
+(:func:`hgcolor.conflicts._chains_batch`, walks grown from each edge along
+last -> first matches); at r = 2 the chain count is the pair count.
 :func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions of
 :mod:`hgcolor.conflicts` are their references in the tests. Pairs are
-counted in every trial, short edges and B/P/R whenever there is a p; chains
-are counted on request, row by row with
-:func:`hgcolor.conflicts._chains_from`. A batch is capped by a fixed element
+counted in every trial, short edges and B/P/R whenever there is a p. A
+batch, and each step of its chain walks, is capped by a fixed element
 budget, so memory does not grow with the trial count, and reports do not
 depend on how trials split into batches.
 
 :func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
-trials into contiguous ranges, one per process: it runs the single range
-in-process, or hands each pool worker a pickled copy of the parent's engine.
+trials into contiguous ranges, one per process, with no more processes than
+batches: it runs a single range in-process, or hands each pool worker a
+pickled copy of the parent's engine.
 """
 
 from __future__ import annotations
@@ -30,13 +33,17 @@ import multiprocessing as mp
 import os
 from dataclasses import dataclass
 from itertools import starmap
-from math import log, sqrt
+from math import ceil, log, sqrt
 
 import numpy as np
 from scipy.special import ndtri
 
-from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition, _chains_from, _firsts_lasts_batch
-from .errors import ChainCeilingError
+from .conflicts import (
+    DEFAULT_CHAIN_CEILING,
+    IntervalPartition,
+    _chains_batch,
+    _firsts_lasts_batch,
+)
 from .greedy import _succeeds_batch, equitable_partition_color
 from .hypergraph import Hypergraph, is_proper, uniformity
 
@@ -170,15 +177,14 @@ class _TrialEngine:
             out[:, 3] = (here * below).sum(axis=1)
             out[:, 4] = (here * (~below & (times < self.part_hi))).sum(axis=1)
             out[:, 5] = (here * (times >= self.part_hi)).sum(axis=1)
-        if self.count_chains:
-            sets = self.h.edge_sets
-            for i in range(trials):
-                try:
-                    out[i, 6] = len(_chains_from(
-                        sets, firsts[i].tolist(), lasts[i].tolist(), self.r, self.chain_ceiling
-                    ))
-                except ChainCeilingError:
-                    out[i, 7] = 1
+        if self.count_chains and self.r == 2:
+            # a 2-chain is a conflicting pair
+            out[:, 7] = out[:, 1] > self.chain_ceiling
+            out[:, 6] = np.where(out[:, 7], 0, out[:, 1])
+        elif self.count_chains:
+            out[:, 6], out[:, 7] = _chains_batch(
+                self.h, firsts, lasts, self.r, self.chain_ceiling, _BATCH_ELEMENTS
+            )
         return out
 
 
@@ -191,6 +197,12 @@ def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[
             np.random.default_rng([seed, i]).random(out=row)
         totals += engine.run(block).sum(axis=0)
     return tuple(int(x) for x in totals)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pool_context():
@@ -231,14 +243,10 @@ def monte_carlo(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     cert = uniformity(h)
-    # reports do not depend on the worker count, so processes beyond the
-    # trials or the usable CPUs would only add start-up cost
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    pool_size = min(workers, trials, cpus)
     engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
+    # reports do not depend on the worker count, so processes beyond the
+    # batches the trials span or the usable CPUs would only add start-up cost
+    pool_size = min(workers, ceil(trials / engine.batch), _usable_cpus())
     cuts = np.linspace(0, trials, pool_size + 1, dtype=int)
     jobs = [(engine, seed, int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
     if pool_size == 1:

@@ -133,6 +133,20 @@ class TestBounds:
         for name in ("max_k_2col", "max_k_rcol r=2", "max_k_rcol r=3"):
             assert f">{name}</text>" in text
 
+    @pytest.mark.parametrize(
+        "n_range, values",
+        [
+            ("50:200:50", [50, 100, 150, 200]),
+            ("200:50:-50", [200, 150, 100, 50]),
+            ("200:60:-50", [200, 150, 100]),
+            ("60:60:-1", [60]),
+        ],
+    )
+    def test_range_includes_its_stop_either_way(self, capsys, n_range, values):
+        code, out, _ = run(capsys, "bounds", "--n", n_range, "--r", "2")
+        assert code == EXIT_OK
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == values
+
     def test_edge_size_below_two_rejected(self, capsys):
         code, out, err = run(capsys, "bounds", "--n", "1")
         assert code == EXIT_INVARIANT
@@ -145,6 +159,8 @@ class TestBounds:
             (["--n", "5:3"], "at least one n and one r"),
             (["--n", "50", "--r", "3:2"], "at least one n and one r"),
             (["--n", "50:500:50:7"], "start:stop or start:stop:step"),
+            (["--n", "50:500:0"], "step must not be zero"),
+            (["--n", "50", "--r", "2:3:0"], "step must not be zero"),
         ],
     )
     def test_bad_range_rejected_before_writing(self, tmp_path, capsys, flags, message):

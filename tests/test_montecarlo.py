@@ -6,11 +6,28 @@ from hgcolor import (
     baseline_equitable_success,
     gen_complete_uniform,
     monte_carlo,
+    montecarlo,
     prob_edge_short_exact,
     wilson_interval,
 )
 from hgcolor.montecarlo import Z95, Z99, default_p
 from hgcolor.suite import fixed_suite
+
+
+def _count_pools(monkeypatch, context=None):
+    """Let monte_carlo see four usable CPUs and record the size of every pool
+    it starts (through `context`, else its own start method)."""
+    base = context or montecarlo._pool_context()
+    sizes = []
+
+    class Counting:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return base.Pool(processes)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(montecarlo, "_pool_context", Counting)
+    return sizes
 
 
 class TestWilson:
@@ -71,14 +88,31 @@ class TestMonteCarlo:
         lo, hi = wilson_interval(rep.total_short_edges, rep.trials, Z99)
         assert lo <= exact <= hi
 
-    def test_worker_determinism(self, fano):
+    def test_worker_determinism(self, monkeypatch, fano):
+        # batches of 100 trials (Fano's edge matrix holds 21 entries), so the
+        # call spans four batches and the pool really starts
+        pools = _count_pools(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 100)
         serial = monte_carlo(fano, 2, 400, seed=8, workers=1, count_chains=True)
+        assert pools == []
         parallel = monte_carlo(fano, 2, 400, seed=8, workers=4, count_chains=True)
+        assert pools == [4]
         assert serial == parallel
 
+    def test_one_batch_starts_no_pool(self, monkeypatch, fano):
+        serial = monte_carlo(fano, 3, 400, seed=8, count_chains=True)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+
+        def no_pool():
+            raise AssertionError("a call that fits in one batch started a pool")
+
+        monkeypatch.setattr(montecarlo, "_pool_context", no_pool)
+        assert monte_carlo(fano, 3, 400, seed=8, count_chains=True, workers=2) == serial
+
     def test_worker_count_capped_by_trials(self, fano):
-        # the pool is sized min(workers, trials, usable CPUs): at most two
-        # processes start here, and the report cannot depend on the count
+        # the pool is sized min(workers, batches the trials span, usable
+        # CPUs): two trials fit in one batch, so no process starts here, and
+        # the report cannot depend on the count
         serial = monte_carlo(fano, 2, 2, seed=8, workers=1, count_chains=True)
         huge = monte_carlo(fano, 2, 2, seed=8, workers=10**6, count_chains=True)
         assert serial == huge
@@ -216,6 +250,72 @@ def test_batch_rows_match_scalar_references():
     check()
 
 
+def test_engine_chains_match_filtered_enumeration():
+    """The engine's chain column and ceiling flag equal a count over
+    enumerate_chains kept where last(f_i) = first(f_{i+1}), with first and
+    last read off the (time, index) order directly."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from hgcolor import enumerate_chains
+    from hgcolor.montecarlo import _TrialEngine
+
+    from conftest import hypergraphs_with_times
+
+    @given(
+        hypergraphs_with_times(),
+        st.data(),
+        st.sampled_from([2, 3, 4]),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def check(hwt, data, r, ceiling):
+        h, times = hwt
+        v = h.vertex_count
+        more = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=v, max_size=v),
+            max_size=3,
+        ))
+        block = np.array([times, *more], dtype=float).reshape(-1, v)
+        engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=ceiling)
+        chains = list(enumerate_chains(h, r))
+        for row, got in zip(block.tolist(), engine.run(block).tolist()):
+            def key(u):
+                return row[u], u
+
+            first = [min(e, key=key) for e in h.edges]
+            last = [max(e, key=key) for e in h.edges]
+            count = sum(
+                all(last[a] == first[b] for a, b in zip(c.edges, c.edges[1:]))
+                for c in chains
+            )
+            flag = int(count > ceiling)
+            assert got[6:] == [0 if flag else count, flag]
+
+    check()
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_chain_count_independent_of_element_cap(monkeypatch, r):
+    """Chain walks split into sub-batches of one candidate, or of a few
+    hundred, give the report of the default cap, also where the ceiling
+    trips on some trials."""
+    from hgcolor import gen_random_uniform
+
+    h = gen_random_uniform(60, 5, 300, seed=1)
+    calls = [dict(chain_ceiling=c) for c in (10**7, 1)]
+    want = [monte_carlo(h, r, 24, seed=14, count_chains=True, **kw) for kw in calls]
+    if r == 3:
+        assert want[0].total_conflicting_chains > 0
+        assert 0 < want[1].chain_ceiling_trials < 24
+    # (on this instance nearly every two edges meet, so 4-chains hardly ever
+    # exist; at r = 4 the split walks are the conflicting 3-edge paths)
+    for elements in (1, 300):
+        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", elements)
+        got = [monte_carlo(h, r, 24, seed=14, count_chains=True, **kw) for kw in calls]
+        assert got == want
+
+
 @pytest.mark.parametrize("r", [62, 63, 64, 100])
 def test_success_exact_beyond_one_word_of_colors(r):
     """The sweep stays exact when more colors are in play than one int64
@@ -243,7 +343,6 @@ def test_report_independent_of_batch_split(monkeypatch):
     multiple of it, equals the same call split over two workers and the
     same call run one trial per batch."""
     from hgcolor import gen_random_uniform
-    from hgcolor import montecarlo
     from hgcolor.montecarlo import _TrialEngine
 
     h = gen_random_uniform(40, 8, 200, seed=1)
@@ -260,17 +359,16 @@ def test_pool_under_spawn_matches_serial(monkeypatch, fano):
     """Workers started by spawn (no inherited memory) give the same report."""
     import multiprocessing as mp
 
-    from hgcolor import montecarlo
-
+    # batches of 28 trials, so the call spans three batches and the pool starts
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 28)
     serial = monte_carlo(fano, 3, 60, seed=13, count_chains=True)
-    monkeypatch.setattr(montecarlo, "_pool_context", lambda: mp.get_context("spawn"))
+    pools = _count_pools(monkeypatch, mp.get_context("spawn"))
     assert monte_carlo(fano, 3, 60, seed=13, count_chains=True, workers=2) == serial
+    assert pools == [2]
 
 
 def test_pool_context_falls_back_without_fork(monkeypatch):
     import multiprocessing as mp
-
-    from hgcolor import montecarlo
 
     assert montecarlo._pool_context().get_start_method() in mp.get_all_start_methods()
     monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
