@@ -271,21 +271,31 @@ def _chains_batch(
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_chains_from for each row of `firsts` and `lasts` (trials x edges
-    arrays of first and last vertices), for r >= 3: each row's chain count
+    arrays of first and last vertices), for r >= 2: each row's chain count
     and whether it exceeds `ceiling`, where _chains_from raises. A flagged
     row counts 0 chains.
 
     The walks of all rows grow together, one edge per step, from every edge:
     a walk ending in edge e of row i takes each edge of row i first at
-    last(e), except e itself and the edges that meet an earlier edge of the
-    walk (`h.edges_meet`). The steps run depth first,
-    each in sub-batches of at most min(cap / r, ceiling + 1) candidate
-    extensions (or one walk's, if it has more), so a step's walk arrays hold
-    at most `cap` entries; the walks of a row are dropped once its count
-    passes the ceiling, so a row with plentiful chains stops soon after.
+    last(e), except e itself and the edges that share a vertex with an
+    earlier edge of the walk. That test takes memory linear in the edges:
+    a 64-bit mask per edge rules out most disjoint pairs, and the vertices
+    of the rest are compared through `h.edge_matrix`. The steps run depth
+    first, each in sub-batches of at most min(cap / (r + edge width),
+    ceiling + 1) candidate extensions (or one walk's, if it has more), so a
+    step's walk and vertex arrays hold at most `cap` entries; the walks of
+    a row are dropped once its count passes the ceiling, so a row with
+    plentiful chains stops soon after.
     """
     trials, m = firsts.shape
-    v_count, meet = h.vertex_count, h.edges_meet
+    v_count = h.vertex_count
+    # the vertices of every edge, one array per edge matrix column (rows
+    # are padded with their edge's first vertex, which meets nothing new)
+    columns = list(h.edge_matrix.T.copy())
+    # bit v % 64 set for each vertex v of the edge
+    masks = np.bitwise_or.reduce(
+        np.left_shift(np.uint64(1), (h.edge_matrix % 64).astype(np.uint64)), axis=1
+    )
     rows = np.arange(trials)[:, None]
     # CSR over (row, vertex): the edges of row i first at v are
     # members[starts[k] : starts[k] + sizes[k]], k = i * v_count + v
@@ -296,7 +306,7 @@ def _chains_batch(
     nxt = (lasts + rows * v_count).ravel()
     counts = np.zeros(trials, dtype=np.int64)
     flagged = np.zeros(trials, dtype=bool)
-    cap = min(cap // r, ceiling + 1)
+    cap = min(cap // (r + len(columns)), ceiling + 1)
 
     def longer(row: np.ndarray, path: list[np.ndarray]):
         """The walks (row, path) one edge longer, sub-batch by sub-batch;
@@ -316,9 +326,20 @@ def _chains_batch(
             src = np.repeat(np.arange(lo, hi, dtype=np.int32), size[lo:hi])
             j = members[np.arange(base, ends[hi - 1]) + shift[src]]
             keep = j != path[-1][src]
-            for e in path[:-1]:
-                keep &= ~meet[e[src], j]
             src, j = src[keep], j[keep]
+            for earlier in path[:-1]:
+                earlier = earlier[src]
+                # edges whose masks share no bit are disjoint; compare the
+                # vertices of the rest
+                maybe = np.flatnonzero(masks[earlier] & masks[j])
+                earlier_vertices = [c[earlier[maybe]] for c in columns]
+                meets = np.zeros(len(maybe), dtype=bool)
+                for w in (c[j[maybe]] for c in columns):
+                    for u in earlier_vertices:
+                        meets |= u == w
+                keep = np.ones(len(j), dtype=bool)
+                keep[maybe[meets]] = False
+                src, j = src[keep], j[keep]
             yield row[src], (None if len(path) == r - 1 else [e[src] for e in path] + [j])
             lo = hi
 

@@ -82,17 +82,6 @@ class Hypergraph:
         return out
 
     @cached_property
-    def edges_meet(self) -> np.ndarray:
-        """(edge_count, edge_count) bool array: whether edges e and f share
-        a vertex (every nonempty edge meets itself)."""
-        m = self.edge_count
-        # row v of incidence_matrix lists the edges through v, padded with m
-        out = np.zeros((m + 1, m + 1), dtype=bool)
-        for row in self.incidence_matrix:
-            out[np.ix_(row, row)] = True
-        return np.ascontiguousarray(out[:m, :m])
-
-    @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """What validate() reports, computed once per instance."""
         return tuple(validate(self))

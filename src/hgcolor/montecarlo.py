@@ -13,7 +13,7 @@ times, row i still drawn from (master seed, i). The greedy sweep
 numpy arrays, and the pair, short-edge and B/P/R counts follow from those.
 Chains are counted on request for the whole batch too
 (:func:`hgcolor.conflicts._chains_batch`, walks grown from each edge along
-last -> first matches); at r = 2 the chain count is the pair count.
+last -> first matches, at every r).
 :func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions of
 :mod:`hgcolor.conflicts` are their references in the tests. Pairs are
 counted in every trial, short edges and B/P/R whenever there is a p. A
@@ -22,17 +22,19 @@ budget, so memory does not grow with the trial count, and reports do not
 depend on how trials split into batches.
 
 :func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
-trials into contiguous ranges, one per process, with no more processes than
-batches: it runs a single range in-process, or hands each pool worker a
-pickled copy of the parent's engine.
+trials into contiguous ranges. With one worker it runs them all in-process.
+With more, it times a first share in-process and starts a pool for the rest
+only if the pool would save more time than the last pool in this process
+took to start and stop; each pool worker gets a pickled copy of the
+parent's engine and one range.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import time
 from dataclasses import dataclass
-from itertools import starmap
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -177,11 +179,7 @@ class _TrialEngine:
             out[:, 3] = (here * below).sum(axis=1)
             out[:, 4] = (here * (~below & (times < self.part_hi))).sum(axis=1)
             out[:, 5] = (here * (times >= self.part_hi)).sum(axis=1)
-        if self.count_chains and self.r == 2:
-            # a 2-chain is a conflicting pair
-            out[:, 7] = out[:, 1] > self.chain_ceiling
-            out[:, 6] = np.where(out[:, 7], 0, out[:, 1])
-        elif self.count_chains:
+        if self.count_chains:
             out[:, 6], out[:, 7] = _chains_batch(
                 self.h, firsts, lasts, self.r, self.chain_ceiling, _BATCH_ELEMENTS
             )
@@ -203,6 +201,36 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# Seconds the last pool in this process took to start and to stop, without
+# the work it ran; 0 until a pool has run.
+_last_pool_seconds = 0.0
+
+
+def _pool_cost() -> float:
+    """What starting and stopping a pool is expected to cost: the last
+    pool's figure, or 0 before the first, so the first call that can use a
+    pool starts one and measures it."""
+    return _last_pool_seconds
+
+
+def _run_pool(
+    engine: _TrialEngine, seed: int, start: int, stop: int, size: int
+) -> list[tuple[int, ...]]:
+    """Trials start..stop split into `size` contiguous ranges, one per pool
+    worker; each worker receives a pickled copy of the engine."""
+    global _last_pool_seconds
+    cuts = np.linspace(start, stop, size + 1, dtype=int)
+    jobs = [(engine, seed, int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
+    t0 = time.perf_counter()
+    pool = _pool_context().Pool(size)
+    started = time.perf_counter()
+    with pool:
+        parts = pool.starmap(_run_range, jobs)
+        finished = time.perf_counter()
+    _last_pool_seconds = started - t0 + time.perf_counter() - finished
+    return parts
 
 
 def _pool_context():
@@ -244,17 +272,20 @@ def monte_carlo(
         raise ValueError(f"need at least one worker, got {workers}")
     cert = uniformity(h)
     engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
-    # reports do not depend on the worker count, so processes beyond the
-    # batches the trials span or the usable CPUs would only add start-up cost
-    pool_size = min(workers, ceil(trials / engine.batch), _usable_cpus())
-    cuts = np.linspace(0, trials, pool_size + 1, dtype=int)
-    jobs = [(engine, seed, int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
-    if pool_size == 1:
-        parts = list(starmap(_run_range, jobs))
-    else:
-        # each worker receives a pickled copy of the engine
-        with _pool_context().Pool(pool_size) as pool:
-            parts = pool.starmap(_run_range, jobs)
+    # reports do not depend on how the trials split, so the split follows
+    # measured cost: time a first share in-process, then hand the rest to a
+    # pool only if that saves more than a pool costs to start and stop
+    size = min(workers, trials, _usable_cpus())
+    done = trials if size == 1 else ceil(trials / (2 * size))
+    t0 = time.perf_counter()
+    parts = [_run_range(engine, seed, 0, done)]
+    left = trials - done
+    size = min(size, left)
+    in_process = (time.perf_counter() - t0) * left / done
+    if size > 1 and in_process * (1 - 1 / size) > _pool_cost():
+        parts += _run_pool(engine, seed, done, trials, size)
+    elif left:
+        parts.append(_run_range(engine, seed, done, trials))
     succ, pairs, short, cb, cp, cr, chains, flagged = (sum(col) for col in zip(*parts))
     est = _estimate(succ, trials)
     chain_trials = trials - flagged

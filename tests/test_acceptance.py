@@ -28,6 +28,7 @@ from hgcolor import (
     lll_feasible_ab,
     max_degree_lll,
     monte_carlo,
+    montecarlo,
     pair_conflict_probability,
     pair_conflict_probability_closed,
     prob_edge_short_exact,
@@ -37,6 +38,8 @@ from hgcolor.experiment import ExperimentConfig, run_experiment, strip_timestamp
 from hgcolor.greedy import greedy_succeeds
 from hgcolor.montecarlo import Z99, wilson_interval
 from hgcolor.suite import fixed_suite
+
+from conftest import count_pools
 
 SUITE_TRIALS = 10_000
 SUITE_SEED = 20240809
@@ -240,16 +243,23 @@ def test_criterion_7_lll_search_sanity():
     report("criterion 7 (LLL search)", True, "slacks positive, band <= 4")
 
 
-def test_criterion_8_determinism_across_parallelism():
+def test_criterion_8_determinism_across_parallelism(monkeypatch):
     configs = [
         {"source": {"kind": "fano"}, "r": 2, "trials": 2000, "seed": 5,
          "count_chains": True},
         {"source": {"kind": "random", "m": 8, "n": 3, "edges": 12, "seed": 1},
          "r": 3, "trials": 2000, "seed": 6},
     ]
+    # a pool for every call that may use one, and batches of at most 100
+    # trials on both instances, so every worker's range spans several
+    pools = count_pools(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 100)
     for base in configs:
         serial = run_experiment(ExperimentConfig(**base, workers=1))
+        assert pools == []
         parallel = run_experiment(ExperimentConfig(**base, workers=8))
+        assert pools == [4]
+        pools.clear()
         a, b = strip_timestamp(serial), strip_timestamp(parallel)
         a["config"].pop("workers")
         b["config"].pop("workers")

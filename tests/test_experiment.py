@@ -15,7 +15,10 @@ from hgcolor.experiment import (
     strip_timestamp,
     svg_plot,
 )
+from hgcolor import montecarlo
 from hgcolor.bounds import expected_conflicting_chains, expected_short_edges, reference_p
+
+from conftest import count_pools
 
 
 class TestConfig:
@@ -119,10 +122,16 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         assert strip_timestamp(a) == strip_timestamp(b)
 
-    def test_worker_count_does_not_change_numbers(self):
+    def test_worker_count_does_not_change_numbers(self, monkeypatch):
+        # batches of 50 trials (Fano's edge matrix holds 21 entries), and a
+        # pool for every call that may use one
+        pools = count_pools(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 50)
         base = dict(source={"kind": "fano"}, r=2, trials=240, seed=9)
         serial = run_experiment(ExperimentConfig(**base, workers=1))
+        assert pools == []
         parallel = run_experiment(ExperimentConfig(**base, workers=8))
+        assert pools == [4]
         a, b = strip_timestamp(serial), strip_timestamp(parallel)
         a["config"].pop("workers")
         b["config"].pop("workers")

@@ -13,21 +13,7 @@ from hgcolor import (
 from hgcolor.montecarlo import Z95, Z99, default_p
 from hgcolor.suite import fixed_suite
 
-
-def _count_pools(monkeypatch, context=None):
-    """Let monte_carlo see four usable CPUs and record the size of every pool
-    it starts (through `context`, else its own start method)."""
-    base = context or montecarlo._pool_context()
-    sizes = []
-
-    class Counting:
-        def Pool(self, processes):
-            sizes.append(processes)
-            return base.Pool(processes)
-
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(montecarlo, "_pool_context", Counting)
-    return sizes
+from conftest import count_pools
 
 
 class TestWilson:
@@ -90,8 +76,8 @@ class TestMonteCarlo:
 
     def test_worker_determinism(self, monkeypatch, fano):
         # batches of 100 trials (Fano's edge matrix holds 21 entries), so the
-        # call spans four batches and the pool really starts
-        pools = _count_pools(monkeypatch)
+        # timed share and each worker's range span more than one batch
+        pools = count_pools(monkeypatch)
         monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 100)
         serial = monte_carlo(fano, 2, 400, seed=8, workers=1, count_chains=True)
         assert pools == []
@@ -99,20 +85,31 @@ class TestMonteCarlo:
         assert pools == [4]
         assert serial == parallel
 
-    def test_one_batch_starts_no_pool(self, monkeypatch, fano):
+    def test_costly_pool_not_started(self, monkeypatch, fano):
         serial = monte_carlo(fano, 3, 400, seed=8, count_chains=True)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_pool_cost", lambda: float("inf"))
 
         def no_pool():
-            raise AssertionError("a call that fits in one batch started a pool")
+            raise AssertionError("a pool that saves less than it costs started")
 
         monkeypatch.setattr(montecarlo, "_pool_context", no_pool)
         assert monte_carlo(fano, 3, 400, seed=8, count_chains=True, workers=2) == serial
 
+    def test_first_pool_measures_its_cost(self, monkeypatch, fano):
+        # before any pool has run, a pool is taken to cost nothing, so a call
+        # with a second worker starts one and records what it cost
+        monkeypatch.setattr(montecarlo, "_last_pool_seconds", 0.0)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        serial = monte_carlo(fano, 2, 40, seed=3)
+        assert montecarlo._last_pool_seconds == 0.0
+        assert monte_carlo(fano, 2, 40, seed=3, workers=2) == serial
+        assert montecarlo._last_pool_seconds > 0.0
+
     def test_worker_count_capped_by_trials(self, fano):
-        # the pool is sized min(workers, batches the trials span, usable
-        # CPUs): two trials fit in one batch, so no process starts here, and
-        # the report cannot depend on the count
+        # at most min(workers, trials, usable CPUs) processes: of two trials
+        # one runs in-process as the timed share, so no pool starts here,
+        # and the report cannot depend on the count
         serial = monte_carlo(fano, 2, 2, seed=8, workers=1, count_chains=True)
         huge = monte_carlo(fano, 2, 2, seed=8, workers=10**6, count_chains=True)
         assert serial == huge
@@ -296,6 +293,22 @@ def test_engine_chains_match_filtered_enumeration():
 
 
 @pytest.mark.parametrize("r", [3, 4])
+def test_chain_rows_match_scalar_beyond_64_vertices(r):
+    """With more than 64 vertices, disjoint edges can share a bit of their
+    64-bit masks; the vertex comparison must still keep them apart."""
+    from hgcolor import BirthTimeAssignment, conflicting_chains, gen_random_uniform
+    from hgcolor.montecarlo import _TrialEngine
+
+    h = gen_random_uniform(150, 3, 400, seed=2)
+    block = np.random.default_rng(5).random((12, h.vertex_count))
+    engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=10**7)
+    got = engine.run(block)[:, 6].tolist()
+    want = [len(conflicting_chains(h, BirthTimeAssignment(row.tolist()), r)) for row in block]
+    assert got == want
+    assert min(want) > 0
+
+
+@pytest.mark.parametrize("r", [3, 4])
 def test_chain_count_independent_of_element_cap(monkeypatch, r):
     """Chain walks split into sub-batches of one candidate, or of a few
     hundred, give the report of the default cap, also where the ceiling
@@ -359,10 +372,10 @@ def test_pool_under_spawn_matches_serial(monkeypatch, fano):
     """Workers started by spawn (no inherited memory) give the same report."""
     import multiprocessing as mp
 
-    # batches of 28 trials, so the call spans three batches and the pool starts
+    # batches of 28 trials, so the call spans three batches
     monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 28)
     serial = monte_carlo(fano, 3, 60, seed=13, count_chains=True)
-    pools = _count_pools(monkeypatch, mp.get_context("spawn"))
+    pools = count_pools(monkeypatch, mp.get_context("spawn"))
     assert monte_carlo(fano, 3, 60, seed=13, count_chains=True, workers=2) == serial
     assert pools == [2]
 
