@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass
 from math import exp, expm1, inf, isfinite, log, log1p
 
-from scipy.integrate import quad
-from scipy.special import betainc, betaln
-
 from .errors import NumericRangeError
 
 GOLDEN_TOL = 1e-12
@@ -118,13 +115,13 @@ def _max_feasible(feasible, lo: float = 0.0, hi0: float = 1.0, tol: float = SEAR
     return lo
 
 
-def max_k_2col(n: int, tol: float = SEARCH_TOL) -> float:
+def max_k_2col(n: int) -> float:
     """Largest k with min_p k(1-p)^n + k^2 p < 1. Any n-uniform hypergraph
     with fewer than k 2^(n-1) edges is 2-colorable by greedy with positive
     probability."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _max_feasible(lambda k: min_two_color_bound(k, n) < 1.0, tol=tol)
+    return _max_feasible(lambda k: min_two_color_bound(k, n) < 1.0)
 
 
 def pair_conflict_probability(n: int, lo: float, hi: float) -> float:
@@ -133,6 +130,9 @@ def pair_conflict_probability(n: int, lo: float, hi: float) -> float:
     This is the probability that a fixed dangerous pair conflicts with
     common-vertex birth time in [lo, hi], before the edge-count factor.
     """
+    # imported here so that importing hgcolor does not load scipy
+    from scipy.integrate import quad
+
     if n < 1 or not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"invalid arguments n={n}, lo={lo}, hi={hi}")
     if lo == hi:
@@ -154,6 +154,9 @@ def pair_conflict_probability_closed(n: int, lo: float, hi: float) -> float:
     Uses the Beta(n, n) mirror symmetry to keep both evaluation points on
     the lower half, avoiding cancellation of regularized values near 1.
     """
+    # imported here so that importing hgcolor does not load scipy
+    from scipy.special import betainc, betaln
+
     if n < 1 or not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"invalid arguments n={n}, lo={lo}, hi={hi}")
     if lo >= 0.5:
@@ -197,7 +200,7 @@ def expected_conflicting_chains(k: float, n: int, r: int, p: float) -> float:
     return exp(log(2.0) - math.lgamma(r + 1) + r * log(k) + (r - 1) * log(p))
 
 
-def max_k_rcol(n: int, r: int, tol: float = SEARCH_TOL) -> float:
+def max_k_rcol(n: int, r: int) -> float:
     """Largest k with E[short edges] + E[conflicting chains] < 1 at
     p = 2 ln(n)/n."""
     if n < 3 or r < 2:
@@ -212,7 +215,7 @@ def max_k_rcol(n: int, r: int, tol: float = SEARCH_TOL) -> float:
             < 1.0
         )
 
-    return _max_feasible(feasible, tol=tol)
+    return _max_feasible(feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +341,13 @@ class LLLParams:
     log_slack2: float
 
 
-def structure_log_probabilities(n: int, r: int, p: float | None = None) -> tuple[float, float]:
+def structure_log_probabilities(n: int, r: int) -> tuple[float, float]:
     """(log P1, log P2): per-edge short probability bound n ((1-p)/r)^(n-1)
-    and per-chain conflict probability bound p^(r-1) r^(-r(n-2))."""
+    and per-chain conflict probability bound p^(r-1) r^(-r(n-2)), at the
+    reference width p = 2 ln(n)/n."""
     if n < 3 or r < 2:
         raise ValueError(f"need n >= 3 and r >= 2, got n={n}, r={r}")
-    if p is None:
-        p = reference_p(n)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+    p = reference_p(n)
     log_p1 = log(n) + (n - 1) * (log1p(-p) - log(r))
     log_p2 = (r - 1) * log(p) - r * (n - 2) * log(r)
     return log_p1, log_p2
@@ -383,7 +384,7 @@ def _lll_weights(log_p1: float, log_p2: float, log_D: float, r: int) -> tuple[fl
     return exp(log_a) + half_slack, exp(log_b) + half_slack
 
 
-def max_degree_lll(n: int, r: int, p: float | None = None, tol: float = 1e-6) -> LLLParams:
+def max_degree_lll(n: int, r: int, tol: float = 1e-6) -> LLLParams:
     """Largest dependency degree D certified colorable by the local lemma.
 
     Binary search on log D to within tol; at each candidate the weights
@@ -391,7 +392,7 @@ def max_degree_lll(n: int, r: int, p: float | None = None, tol: float = 1e-6) ->
     are re-checked through lll_feasible_ab, so the result certifies with
     nonnegative slack.
     """
-    log_p1, log_p2 = structure_log_probabilities(n, r, p)
+    log_p1, log_p2 = structure_log_probabilities(n, r)
 
     def certify(log_D: float) -> LLLParams | None:
         weights = _lll_weights(log_p1, log_p2, log_D, r)

@@ -211,6 +211,8 @@ def _cmd_experiment(args) -> int:
             oracle_budget=args.oracle_budget,
             run_oracle=not args.no_oracle,
         )
+    # an unwritable path fails before any computation
+    os.makedirs(args.outdir, exist_ok=True)
     report = run_experiment(config)
     json_path, csv_path = write_report_files(report, args.outdir, plot=args.plot)[:2]
     print(f"wrote {json_path} and {csv_path}")
@@ -279,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser(
         "experiment", parents=[colors, trials, budget], help="full pipeline with persisted reports"
     )
-    e.add_argument("--config", help="JSON config file (overrides other flags)")
+    e.add_argument(
+        "--config",
+        help="JSON config file in place of --in, --r, the trial and budget flags and --no-oracle"
+        " (--out and --plot still apply)",
+    )
     e.add_argument("--in", dest="infile")
     e.add_argument("--no-oracle", action="store_true")
     e.add_argument("--plot", action="store_true")

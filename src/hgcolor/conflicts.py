@@ -133,21 +133,10 @@ def _firsts_lasts_batch(
 
 def conflicting_pairs(h: Hypergraph, t: BirthTimeAssignment) -> list[tuple[int, int]]:
     """Ordered pairs (e, f) where the last vertex of e is the first vertex
-    of f. Such pairs share exactly that vertex, so they are dangerous."""
-    return _pairs_from(*_firsts_lasts(h.edges, t.times))
-
-
-def _pairs_from(firsts: Sequence[int], lasts: Sequence[int]) -> list[tuple[int, int]]:
-    """The conflicting pairs given each edge's first and last vertex."""
-    by_first: dict[int, list[int]] = {}
-    for fi, v in enumerate(firsts):
-        by_first.setdefault(v, []).append(fi)
-    out = []
-    for ei, v in enumerate(lasts):
-        for fi in by_first.get(v, ()):
-            if fi != ei:
-                out.append((ei, fi))
-    return sorted(out)
+    of f. Such pairs share exactly that vertex, so they are dangerous: they
+    are the conflicting 2-chains."""
+    # there are fewer than m^2 pairs, so the ceiling never trips
+    return [c.edges for c in conflicting_chains(h, t, 2, h.edge_count**2)]
 
 
 def enumerate_chains(
@@ -391,9 +380,9 @@ def classify_conflicts_by_interval(
 ) -> IntervalConflictCounts:
     """Count conflicting pairs by the interval holding their common vertex."""
     counts = {"B": 0, "P": 0, "R": 0}
-    firsts, lasts = _firsts_lasts(h.edges, t.times)
-    for (ei, _fi) in _pairs_from(firsts, lasts):
-        counts[partition.locate(t[lasts[ei]])] += 1
+    # a conflicting pair is a 2-chain linked at the common vertex
+    for c in conflicting_chains(h, t, 2, h.edge_count**2):
+        counts[partition.locate(t[c.links[0]])] += 1
     return IntervalConflictCounts(counts["B"], counts["P"], counts["R"])
 
 

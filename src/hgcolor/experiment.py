@@ -31,8 +31,8 @@ from .oracle import DEFAULT_ORACLE_BUDGET, greedy_success_exact, is_r_colorable
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: an instance source, Monte Carlo settings, budgets,
-    and an optional output directory (None keeps everything in memory)."""
+    """One experiment: an instance source, Monte Carlo settings and budgets.
+    Where its reports go is the caller's choice (:func:`write_report_files`)."""
 
     source: dict[str, Any]
     r: int = 2
@@ -44,8 +44,6 @@ class ExperimentConfig:
     chain_ceiling: int = DEFAULT_CHAIN_CEILING
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
     run_oracle: bool = True
-    out_dir: str | None = None
-    plot: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -280,21 +278,6 @@ def _mc_asdict(report: MonteCarloReport) -> dict[str, Any]:
     return d
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Generate/load, Monte Carlo, oracle cross-check, bound comparison.
-
-    When config.out_dir is set, report.json and report.csv (and report.svg
-    with config.plot) are written there; the directory is created up front
-    so unwritable paths fail before any computation.
-    """
-    if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
-    report = _run(config)
-    if config.out_dir is not None:
-        write_report_files(report, config.out_dir, plot=config.plot)
-    return report
-
-
 def write_report_files(report: ExperimentReport, out_dir: str, plot: bool = False) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
@@ -313,7 +296,11 @@ def write_report_files(report: ExperimentReport, out_dir: str, plot: bool = Fals
     return paths
 
 
-def _run(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Generate/load, Monte Carlo, oracle cross-check, bound comparison.
+
+    Computes only; :func:`write_report_files` persists the report.
+    """
     h = load_instance(config.source)
     checks = h.violations
     violations = [v.message for v in checks if v.severity == "error"]
@@ -437,12 +424,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def svg_plot(
-    series: dict[str, list[tuple[float, float]]],
-    title: str,
-    width: int = 640,
-    height: int = 420,
-) -> str:
+def svg_plot(series: dict[str, list[tuple[float, float]]], title: str) -> str:
     """Polyline plot of one or more (x, y) series."""
     pts = [p for s in series.values() for p in s]
     if not pts:
@@ -452,7 +434,7 @@ def svg_plot(
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
-    pad = 50
+    width, height, pad = 640, 420, 50
 
     def sx(x: float) -> float:
         return pad + (x - x0) / xspan * (width - 2 * pad)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from math import ceil, log, sqrt
 
 import numpy as np
-from scipy.special import ndtri
 
 from .conflicts import (
     DEFAULT_CHAIN_CEILING,
@@ -49,8 +48,9 @@ from .conflicts import (
 from .greedy import _succeeds_batch, equitable_partition_color
 from .hypergraph import Hypergraph, is_proper, uniformity
 
-Z95 = float(ndtri(0.975))
-Z99 = float(ndtri(0.995))
+# the standard normal quantiles at 0.975 and 0.995 (scipy's ndtri, to the bit)
+Z95 = 1.959963984540054
+Z99 = 2.5758293035489004
 
 
 def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -270,6 +270,8 @@ def monte_carlo(
         raise ValueError(f"p must lie in (0,1), got {p}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    if chain_ceiling < 0:
+        raise ValueError(f"the chain ceiling must be nonnegative, got {chain_ceiling}")
     cert = uniformity(h)
     engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
     # reports do not depend on how the trials split, so the split follows

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hgcolor import loads_hypergraph
+from hgcolor import experiment, loads_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
 
 TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers", "chain_ceiling")
@@ -92,6 +92,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "gen", "fano")
         assert code == EXIT_BUDGET
         assert name in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["mc", "experiment"])
+    @pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
+    def test_negative_chain_ceiling_exits_2(self, tmp_path, monkeypatch, capsys, command, by_env):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        flags = ["--in", str(path), "--trials", "5", "--count-chains", "--out", str(tmp_path / "o")]
+        if by_env:
+            monkeypatch.setenv("HGCOLOR_CHAIN_CEILING", "-1")
+        else:
+            flags += ["--chain-ceiling", "-1"]
+        code, out, err = run(capsys, command, *flags)
+        assert code == EXIT_INVARIANT
+        assert "chain ceiling" in err and "Traceback" not in err
         assert out == ""
 
     def test_missing_file_is_io(self, capsys):
@@ -241,6 +256,30 @@ class TestExperiment:
         assert code == EXIT_OK
         report = json.loads((outdir / "report.json").read_text())
         assert report["config"]["trials"] == 60
+
+    def test_config_reports_go_only_under_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": {"kind": "fano"}, "trials": 20, "seed": 1}))
+        code, out, _ = run(capsys, "experiment", "--config", str(cfg), "--out", "b")
+        assert code == EXIT_OK
+        assert "b/report.json" in out
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ["b/report.csv", "b/report.json", "cfg.json"]
+
+    def test_unwritable_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monte_carlo ran before the output directory was made")
+
+        monkeypatch.setattr(experiment, "monte_carlo", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": {"kind": "fano"}, "trials": 20, "seed": 1}))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out", str(blocker / "sub"))
+        assert code == EXIT_IO
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
     def test_byte_identical_reports_modulo_timestamp(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -46,7 +46,7 @@ class TestConfig:
             ({"source": {"kind": "fano"}, "r": True}, "'r' must be an integer, got True"),
             ({"source": {"kind": "fano"}, "p": "0.3"}, "'p' must be a number"),
             ({"source": {"kind": "fano"}, "count_chains": 1}, "'count_chains' must be true or false"),
-            ({"source": {"kind": "fano"}, "out_dir": 5}, "'out_dir' must be a string"),
+            ({"source": {"kind": "fano"}, "out_dir": 5, "plot": True}, "unknown config fields: out_dir"),
             ({"source": "fano"}, "'source' must be an object"),
             ({"source": {"kind": "complete", "m": "7", "n": 3}}, "source field 'm' must be an integer, got '7'"),
             ({"source": {"kind": "random", "m": 8, "n": 3, "edges": "5"}}, "source field 'edges' must be an integer"),

@@ -5,6 +5,7 @@ from hgcolor import (
     Hypergraph,
     baseline_equitable_success,
     gen_complete_uniform,
+    gen_random_uniform,
     monte_carlo,
     montecarlo,
     prob_edge_short_exact,
@@ -27,6 +28,12 @@ class TestWilson:
         assert lo == 0.0 and 0 < hi < 0.02
         lo, hi = wilson_interval(1000, 1000, Z99)
         assert 0.98 < lo < 1 and hi == 1.0
+
+    def test_quantiles_match_ndtri(self):
+        from scipy.special import ndtri
+
+        assert Z95 == float(ndtri(0.975))
+        assert Z99 == float(ndtri(0.995))
 
     def test_wider_at_higher_confidence(self):
         lo95, hi95 = wilson_interval(40, 100, Z95)
@@ -131,6 +138,13 @@ class TestMonteCarlo:
         rep = monte_carlo(fano, 2, 30, seed=10, count_chains=True, chain_ceiling=0)
         assert rep.chain_ceiling_trials == 30
         assert rep.mean_conflicting_chains is None
+
+    def test_negative_chain_ceiling_rejected(self):
+        # every row, even one without chains, would exceed it, so the
+        # report would depend on how the trials split into batches
+        h = gen_random_uniform(12, 3, 10, seed=2)
+        with pytest.raises(ValueError, match="chain ceiling"):
+            monte_carlo(h, 3, 40, seed=1, count_chains=True, chain_ceiling=-1)
 
     def test_seed_required_nonnegative(self, fano):
         with pytest.raises(ValueError):
