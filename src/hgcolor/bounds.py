@@ -40,12 +40,12 @@ def two_color_bound(k: float, p: float, n: int) -> float:
     return first + k * k * p
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> tuple[float, float]:
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -5,7 +5,11 @@ All numeric report content is a deterministic function of the config and
 seed (worker count included); the only nondeterministic field is the
 timestamp, which comparison helpers exclude. A report takes the Wilson
 interval and uniformity from the Monte Carlo report and an over-budget note
-from the oracle's own error, so nothing is computed twice.
+from the oracle's own error, so nothing is computed twice. Colorability is
+read off the ordering census: greedy succeeds on some order iff h is
+r-colorable (a successful run is proper; ordered by the classes of a proper
+coloring c, greedy gives each v a color <= c(v), since only an edge that c
+makes monochromatic could block c(v)).
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from . import bounds
 from .errors import BudgetExceededError, NumericRangeError
 from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
 from .hypergraph import Hypergraph, read_hypergraph
-from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, monte_carlo
-from .oracle import DEFAULT_ORACLE_BUDGET, greedy_success_exact, is_r_colorable
+from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, check_trial_settings, monte_carlo
+from .oracle import DEFAULT_ORACLE_BUDGET, greedy_success_exact
 
 
 @dataclass(frozen=True)
@@ -48,12 +52,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _checked(f"config field {f.name!r}", f.type, getattr(self, f.name)))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("an explicit nonnegative seed is required")
-        if self.r < 2:
-            raise ValueError("need r >= 2")
+        check_trial_settings(self.r, self.trials, self.seed, self.p, self.workers, self.chain_ceiling)
         if "kind" not in self.source:
             raise ValueError("source needs a 'kind' field")
         if unknown := sorted(map(str, self.source.keys() - _SOURCE_TYPES.keys())):
@@ -331,7 +330,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.run_oracle:
         try:
             stats = greedy_success_exact(h, config.r, config.oracle_budget)
-            colorable, _ = is_r_colorable(h, config.r, config.oracle_budget)
             prob = stats.success_probability
             lo, hi = mc.wilson99
             inside = lo <= float(prob) <= hi
@@ -341,7 +339,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 violations.append("failures observed on an instance with exact probability one")
             oracle_sec = OracleSection(
                 within_budget=True,
-                colorable=colorable,
+                colorable=stats.proper_orderings > 0,
                 ordering_total=stats.total_orderings,
                 ordering_proper=stats.proper_orderings,
                 exact_probability=f"{prob.numerator}/{prob.denominator}",

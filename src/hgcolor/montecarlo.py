@@ -241,6 +241,24 @@ def _pool_context():
     return mp.get_context()
 
 
+def check_trial_settings(
+    r: int, trials: int, seed: int, p: float | None, workers: int, chain_ceiling: int
+) -> None:
+    """Raise ValueError on an out-of-range trial setting; p may be None."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    if p is not None and not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0,1), got {p}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    if chain_ceiling < 0:
+        raise ValueError(f"the chain ceiling must be nonnegative, got {chain_ceiling}")
+
+
 def monte_carlo(
     h: Hypergraph,
     r: int,
@@ -258,20 +276,9 @@ def monte_carlo(
     requires r = 2).
     """
     h.require_valid()
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    check_trial_settings(r, trials, seed, p, workers, chain_ceiling)
     if p is None:
         p = default_p(h)
-    elif not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    if chain_ceiling < 0:
-        raise ValueError(f"the chain ceiling must be nonnegative, got {chain_ceiling}")
     cert = uniformity(h)
     engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
     # reports do not depend on how the trials split, so the split follows

@@ -3,12 +3,13 @@ coloring counts, and the exact greedy success probability over all vertex
 orderings (the algorithm depends on birth times only through the induced
 order, so averaging over permutations is exact).
 
-Colorability and counting are backtracking searches over the greedy
-module's edge state, so they decide blocked colors exactly as the greedy
-driver does. The ordering census runs on the same state but counts each
-partial coloring's successful completions once, since the greedy choice for
-the next vertex depends on the partial coloring and not on the order that
-produced it.
+Colorability and counting are one backtracking search over the greedy
+module's edge state, so it decides blocked colors exactly as the greedy
+driver does; its budget counts tried (vertex, color) assignments. The
+ordering census runs on the same state but counts each partial coloring's
+successful completions once, since the greedy choice for the next vertex
+depends on the partial coloring and not on the order that produced it; its
+budget is the V! orderings, checked up front.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ class OrderingStatistics:
         return Fraction(self.proper_orderings, self.total_orderings)
 
 
-def is_r_colorable(
-    h: Hypergraph, r: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> tuple[bool, Coloring | None]:
-    """Backtracking search for a proper r-coloring; returns a witness.
-
-    Vertices 0..V-1 take colors in ascending order, so the witness is the
-    lexicographically smallest proper coloring. The budget caps tried
-    (vertex, color) assignments, blocked colors included, and fails loudly.
+def _proper_colorings(
+    h: Hypergraph, r: int, budget: int, limit: int | None = None
+) -> tuple[int, list[int] | None]:
+    """Proper r-colorings in lexicographic order (vertices 0..V-1 take
+    colors in ascending order): how many, up to `limit`, and the first, or
+    None. The budget caps tried (vertex, color) assignments, blocked colors
+    included, and fails loudly; above 32 vertices the search is refused at
+    once when r^V exceeds it.
     """
     h.require_valid()
     if r < 1:
@@ -57,12 +58,17 @@ def is_r_colorable(
         )
     state = _EdgeState(h, r)
     colors = [0] * v_count
-    nodes = 0
+    first = None
+    found = nodes = 0
 
     def search(v: int) -> bool:
-        nonlocal nodes
+        """Extend colors[:v]; True once `limit` colorings are found."""
+        nonlocal first, found, nodes
         if v == v_count:
-            return True
+            found += 1
+            if found == 1:
+                first = colors.copy()
+            return found == limit
         blocked = state.blocked(v)
         saved = state.save(v)
         for j in range(1, r + 1):
@@ -80,39 +86,25 @@ def is_r_colorable(
             state.unplace(v, saved)
         return False
 
-    if search(0):
-        return True, Coloring(colors, r)
-    return False, None
+    search(0)
+    return found, first
+
+
+def is_r_colorable(
+    h: Hypergraph, r: int, budget: int = DEFAULT_ORACLE_BUDGET
+) -> tuple[bool, Coloring | None]:
+    """Whether h has a proper r-coloring, with the lexicographically
+    smallest one as witness; budgeted as :func:`_proper_colorings`."""
+    found, first = _proper_colorings(h, r, budget, limit=1)
+    return (True, Coloring(first, r)) if found else (False, None)
 
 
 def count_proper_colorings(
     h: Hypergraph, r: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> int:
-    """Exact number of proper r-colorings by pruned exhaustive search."""
-    h.require_valid()
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if r**h.vertex_count > budget:
-        raise BudgetExceededError(
-            f"{r}^{h.vertex_count} colorings exceed budget {budget}"
-        )
-    v_count = h.vertex_count
-    state = _EdgeState(h, r)
-
-    def count(v: int) -> int:
-        if v == v_count:
-            return 1
-        blocked = state.blocked(v)
-        saved = state.save(v)
-        total = 0
-        for j in range(1, r + 1):
-            if not blocked >> j & 1:
-                state.place(v, j)
-                total += count(v + 1)
-                state.unplace(v, saved)
-        return total
-
-    return count(0)
+    """Exact number of proper r-colorings; budgeted as
+    :func:`_proper_colorings`, which enumerates them all."""
+    return _proper_colorings(h, r, budget)[0]
 
 
 def greedy_success_exact(

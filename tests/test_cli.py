@@ -109,6 +109,23 @@ class TestExitCodes:
         assert "chain ceiling" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--chain-ceiling", "-1"), ("--workers", "0"), ("--p", "1.5")]
+    )
+    def test_bad_trial_setting_exits_2_before_making_out(self, tmp_path, monkeypatch, capsys, flag, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monte_carlo ran on a bad setting")
+
+        monkeypatch.setattr(experiment, "monte_carlo", refuse)
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        outdir = tmp_path / "e"
+        code, out, err = run(capsys, "experiment", "--in", str(path), "--r", "3", "--count-chains",
+                             flag, value, "--out", str(outdir))
+        assert code == EXIT_INVARIANT
+        assert err.startswith("error: ") and out == ""
+        assert not outdir.exists()
+
     def test_missing_file_is_io(self, capsys):
         code, _, err = run(capsys, "mc", "--in", "/nonexistent.hg", "--seed", "1")
         assert code == EXIT_IO

@@ -15,8 +15,9 @@ from hgcolor.experiment import (
     strip_timestamp,
     svg_plot,
 )
-from hgcolor import montecarlo
+from hgcolor import is_r_colorable, montecarlo, write_hypergraph
 from hgcolor.bounds import expected_conflicting_chains, expected_short_edges, reference_p
+from hgcolor.suite import fixed_suite
 
 from conftest import count_pools
 
@@ -168,6 +169,22 @@ class TestRunExperiment:
         with pytest.raises(BudgetExceededError) as exc:
             greedy_success_exact(gen_fano(), 2, 10)
         assert run_experiment(cfg).oracle["note"] == str(exc.value) == "7! orderings exceed budget 10"
+
+    def test_colorability_is_read_off_the_census(self):
+        # the census's 3! = 6 orderings fit the budget; a colorability search
+        # of the triangle would need 10 tried assignments
+        cfg = ExperimentConfig(source={"kind": "complete", "m": 3, "n": 2}, trials=5, seed=1, oracle_budget=6)
+        oracle = run_experiment(cfg).oracle
+        assert oracle["within_budget"] is True
+        assert oracle["colorable"] is False
+        assert oracle["exact_probability"] == "0/1"
+
+    @pytest.mark.parametrize("h,r", [pytest.param(h, r, id=name) for name, h, r in fixed_suite()])
+    def test_colorable_matches_the_colorability_oracle(self, tmp_path, h, r):
+        path = tmp_path / "h.hg"
+        write_hypergraph(h, str(path))
+        cfg = ExperimentConfig(source={"kind": "file", "path": str(path)}, r=r, trials=5, seed=1)
+        assert run_experiment(cfg).oracle["colorable"] == is_r_colorable(h, r)[0]
 
 
 class TestBoundTable:

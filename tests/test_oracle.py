@@ -13,6 +13,7 @@ from hgcolor import (
     Hypergraph,
     OrderingStatistics,
     count_proper_colorings,
+    gen_complete_uniform,
     greedy_color_by_permutation,
     greedy_success_exact,
     is_proper,
@@ -56,6 +57,39 @@ class TestCounting:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_proper_colorings(Hypergraph(30, []), 3, budget=100)
+
+    def test_budget_counts_the_search_not_r_to_the_v(self):
+        # 2^12 colorings exceed the budget, but the search refutes K12 after
+        # 10 tried assignments
+        assert count_proper_colorings(gen_complete_uniform(12, 2), 2, budget=100) == 0
+
+
+class TestSearchBudget:
+    """Colorability and counting share one search and its budget."""
+
+    @pytest.mark.parametrize(
+        "oracle, h, nodes",
+        [
+            # the witness (1, 1, 2) after 4 tried assignments; counting
+            # tries all 2 + 4 + 8
+            pytest.param(is_r_colorable, Hypergraph(3, [(0, 1, 2)]), 4, id="colorable-edge"),
+            pytest.param(count_proper_colorings, Hypergraph(3, [(0, 1, 2)]), 14, id="count-edge"),
+            # no coloring: both exhaust the same tree
+            pytest.param(is_r_colorable, Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 10, id="colorable-triangle"),
+            pytest.param(count_proper_colorings, Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 10, id="count-triangle"),
+        ],
+    )
+    def test_budget_is_the_tried_assignments(self, oracle, h, nodes):
+        oracle(h, 2, budget=nodes)
+        message = re.escape(f"colorability search exceeded budget {nodes - 1}")
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            oracle(h, 2, budget=nodes - 1)
+
+    @pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings])
+    def test_refused_at_once_above_32_vertices(self, oracle):
+        message = re.escape("colorability search on 40 vertices exceeds budget 10000000")
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            oracle(Hypergraph(40, []), 2)
 
 
 class TestOrderingCensus:
@@ -120,9 +154,14 @@ def test_colorable_iff_count_positive(h, r):
 @given(hypergraphs(max_vertices=5, max_edges=5), st.integers(2, 3))
 @settings(max_examples=40, deadline=None)
 def test_greedy_success_implies_colorable(h, r):
-    stats = greedy_success_exact(h, r)
-    if stats.success_probability > 0:
-        assert is_r_colorable(h, r)[0]
+    # both ways: a successful run is a proper coloring, and greedy succeeds
+    # on the vertices ordered by the color classes of a proper coloring
+    assert (greedy_success_exact(h, r).proper_orderings > 0) == is_r_colorable(h, r)[0]
+
+
+@pytest.mark.parametrize("h,r", [pytest.param(h, r, id=name) for name, h, r in fixed_suite()])
+def test_suite_greedy_success_iff_colorable(h, r):
+    assert (greedy_success_exact(h, r).proper_orderings > 0) == is_r_colorable(h, r)[0]
 
 
 @given(
