@@ -30,7 +30,7 @@ from .errors import BudgetExceededError, NumericRangeError
 from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
 from .hypergraph import Hypergraph, read_hypergraph
 from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, check_trial_settings, monte_carlo
-from .oracle import DEFAULT_ORACLE_BUDGET, greedy_success_exact
+from .oracle import DEFAULT_ORACLE_BUDGET, check_budget, greedy_success_exact
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class ExperimentConfig:
         for f in fields(self):
             object.__setattr__(self, f.name, _checked(f"config field {f.name!r}", f.type, getattr(self, f.name)))
         check_trial_settings(self.r, self.trials, self.seed, self.p, self.workers, self.chain_ceiling)
+        check_budget(self.oracle_budget)
         if "kind" not in self.source:
             raise ValueError("source needs a 'kind' field")
         if unknown := sorted(map(str, self.source.keys() - _SOURCE_TYPES.keys())):

@@ -198,9 +198,7 @@ def validate(h: Hypergraph) -> list[Violation]:
 
 def uniformity(h: Hypergraph) -> UniformityCertificate | None:
     """The common edge size n >= 2, or None (also for an empty edge list)."""
-    if not h.edges:
-        return None
-    sizes = {len(set(e)) for e in h.edges}
+    sizes = set(h.edge_sizes)
     if len(sizes) != 1:
         return None
     (n,) = sizes

@@ -5,11 +5,14 @@ order, so averaging over permutations is exact).
 
 Colorability and counting are one backtracking search over the greedy
 module's edge state, so it decides blocked colors exactly as the greedy
-driver does; its budget counts tried (vertex, color) assignments. The
-ordering census runs on the same state but counts each partial coloring's
+driver does; its budget counts tried (vertex, color) assignments, and it
+counts the last vertex's free colors without placing them. The ordering
+census runs on the same state but counts each partial coloring's
 successful completions once, since the greedy choice for the next vertex
-depends on the partial coloring and not on the order that produced it; its
-budget is the V! orderings, checked up front.
+depends on the partial coloring and not on the order that produced it; it
+places a vertex only to count a child coloring the memo does not hold, and
+its budget is the V! orderings, checked up front. A negative budget is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ class OrderingStatistics:
         return Fraction(self.proper_orderings, self.total_orderings)
 
 
+def check_budget(budget: int) -> None:
+    """Raise ValueError on a negative oracle budget (0 is a valid budget)."""
+    if budget < 0:
+        raise ValueError(f"the oracle budget must be nonnegative, got {budget}")
+
+
 def _proper_colorings(
     h: Hypergraph, r: int, budget: int, limit: int | None = None
 ) -> tuple[int, list[int] | None]:
@@ -47,30 +56,40 @@ def _proper_colorings(
     None. The budget caps tried (vertex, color) assignments, blocked colors
     included, and fails loudly; above 32 vertices the search is refused at
     once when r^V exceeds it.
+
+    The last vertex's free colors are counted without being placed, since
+    each completes a proper coloring. At r = 1 the search is one path, so
+    it is answered in closed form with the same count of tried assignments.
     """
     h.require_valid()
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    check_budget(budget)
     v_count = h.vertex_count
     if v_count > 32 and r**v_count > budget:
         raise BudgetExceededError(
             f"colorability search on {v_count} vertices exceeds budget {budget}"
         )
+    if r == 1:
+        # all ones is the only 1-coloring; the search gives vertex v its
+        # color unless v is the largest vertex of an edge, and stops there
+        tried = min((e[-1] + 1 for e in h.edges), default=v_count)
+        if tried > budget:
+            raise BudgetExceededError(f"colorability search exceeded budget {budget}")
+        return (0, None) if h.edges else (1, [1] * v_count)
+    if v_count == 0:
+        return 1, []
     state = _EdgeState(h, r)
     colors = [0] * v_count
+    last = v_count - 1
     first = None
     found = nodes = 0
 
     def search(v: int) -> bool:
         """Extend colors[:v]; True once `limit` colorings are found."""
         nonlocal first, found, nodes
-        if v == v_count:
-            found += 1
-            if found == 1:
-                first = colors.copy()
-            return found == limit
         blocked = state.blocked(v)
-        saved = state.save(v)
+        saved = state.save(v) if v < last else None
         for j in range(1, r + 1):
             nodes += 1
             if nodes > budget:
@@ -80,10 +99,17 @@ def _proper_colorings(
             if blocked >> j & 1:
                 continue
             colors[v] = j
-            state.place(v, j)
-            if search(v + 1):
+            if v < last:
+                state.place(v, j)
+                if search(v + 1):
+                    return True
+                state.unplace(v, saved)
+                continue
+            found += 1
+            if found == 1:
+                first = colors.copy()
+            if found == limit:
                 return True
-            state.unplace(v, saved)
         return False
 
     search(0)
@@ -117,11 +143,14 @@ def greedy_success_exact(
     count sums, over each uncolored vertex v that is not blocked, the count
     of the coloring extended by v's greedy color. Every coloring reached is
     counted once and memoized for this call, so the work is bounded by the
-    (r+1)^V partial colorings rather than the V! orderings.
+    (r+1)^V partial colorings rather than the V! orderings. A vertex is
+    placed on the edge state only to count a child the memo does not hold;
+    a memoized child adds its count, and the last uncolored vertex adds 1.
     """
     h.require_valid()
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
+    check_budget(budget)
     v_count = h.vertex_count
     total = factorial(v_count)
     if total > budget:
@@ -137,11 +166,8 @@ def greedy_success_exact(
     memo: dict[int, int] = {}
 
     def completions(key: int, left: int) -> int:
-        if left == 0:
-            return 1
-        known = memo.get(key)
-        if known is not None:
-            return known
+        """Successful completions of a partial coloring that is not in the
+        memo and has `left` >= 1 uncolored vertices."""
         proper = 0
         for v in range(v_count):
             if colors[v]:
@@ -149,14 +175,21 @@ def greedy_success_exact(
             blocked = state.blocked(v)
             if blocked == all_blocked:
                 continue
+            if left == 1:
+                proper += 1
+                continue
             j = _first_free(blocked)
-            saved = state.save(v)
-            state.place(v, j)
-            colors[v] = j
-            proper += completions(key + j * weight[v], left - 1)
-            colors[v] = 0
-            state.unplace(v, saved)
+            child = key + j * weight[v]
+            known = memo.get(child)
+            if known is None:
+                saved = state.save(v)
+                state.place(v, j)
+                colors[v] = j
+                known = completions(child, left - 1)
+                colors[v] = 0
+                state.unplace(v, saved)
+            proper += known
         memo[key] = proper
         return proper
 
-    return OrderingStatistics(total, completions(0, v_count))
+    return OrderingStatistics(total, completions(0, v_count) if v_count else 1)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hgcolor import experiment, loads_hypergraph
+from hgcolor import Hypergraph, experiment, loads_hypergraph, write_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
 
 TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers", "chain_ceiling")
@@ -85,6 +85,17 @@ class TestOracle:
         assert "budget" in err
 
 
+    def test_one_color_exits_2_without_traceback(self, tmp_path, capsys):
+        # r = 1 is answered in closed form, so a long instance no longer
+        # recurses once per vertex; the census then refuses r < 2
+        path = tmp_path / "long.hg"
+        write_hypergraph(Hypergraph(1200, [(1198, 1199)]), str(path))
+        code, out, err = run(capsys, "oracle", "--in", str(path), "--r", "1")
+        assert code == EXIT_INVARIANT
+        assert err == "error: need r >= 2, got 1\n"
+        assert out == ""
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET", "HGCOLOR_CHAIN_CEILING"])
     def test_non_integer_env_var(self, monkeypatch, capsys, name):
@@ -109,8 +120,28 @@ class TestExitCodes:
         assert "chain ceiling" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["oracle", "experiment"])
+    @pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
+    def test_negative_oracle_budget_exits_2(self, tmp_path, monkeypatch, capsys, command, by_env):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        outdir = tmp_path / "o"
+        flags = ["--in", str(path), "--r", "2"]
+        if command == "experiment":
+            flags += ["--trials", "5", "--out", str(outdir)]
+        if by_env:
+            monkeypatch.setenv("HGCOLOR_ORACLE_BUDGET", "-5")
+        else:
+            flags += ["--oracle-budget", "-5"]
+        code, out, err = run(capsys, command, *flags)
+        assert code == EXIT_INVARIANT
+        assert err == "error: the oracle budget must be nonnegative, got -5\n"
+        assert out == ""
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
-        "flag, value", [("--chain-ceiling", "-1"), ("--workers", "0"), ("--p", "1.5")]
+        "flag, value",
+        [("--chain-ceiling", "-1"), ("--workers", "0"), ("--p", "1.5"), ("--oracle-budget", "-1")],
     )
     def test_bad_trial_setting_exits_2_before_making_out(self, tmp_path, monkeypatch, capsys, flag, value):
         def refuse(*args, **kwargs):

@@ -19,6 +19,7 @@ from hgcolor import (
     is_proper,
     is_r_colorable,
 )
+from hgcolor.greedy import _EdgeState
 from hgcolor.suite import fixed_suite
 
 from conftest import hypergraphs
@@ -210,7 +211,7 @@ def proper_colorings_lex(h, r):
             yield colors
 
 
-@given(hypergraphs(max_vertices=6), st.integers(2, 3))
+@given(hypergraphs(max_vertices=6), st.integers(2, 4))
 @settings(max_examples=30, deadline=None)
 def test_greedy_census_matches_naive_runs(h, r):
     stats = greedy_success_exact(h, r)
@@ -227,3 +228,138 @@ def test_count_and_witness_match_enumeration(h, r):
     ok, witness = is_r_colorable(h, r)
     assert ok == bool(proper)
     assert (witness.colors if ok else None) == (proper[0] if proper else None)
+
+
+# 0 vertices, 1 vertex, no edge, one edge, and singleton edges (which block
+# every color of their vertex)
+SMALL = [
+    pytest.param(Hypergraph(0, []), id="no-vertices"),
+    pytest.param(Hypergraph(1, []), id="one-vertex"),
+    pytest.param(Hypergraph(4, []), id="no-edges"),
+    pytest.param(Hypergraph(3, [(0, 1, 2)]), id="one-edge"),
+    pytest.param(Hypergraph(1, [(0,)]), id="singleton-only"),
+    pytest.param(Hypergraph(3, [(1,)]), id="singleton-inside"),
+    pytest.param(Hypergraph(4, [(0, 1), (3,)]), id="singleton-last"),
+]
+
+
+@pytest.mark.parametrize("h", SMALL)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_small_cases_match_naive_references(h, r):
+    proper = list(proper_colorings_lex(h, r))
+    assert count_proper_colorings(h, r) == len(proper)
+    ok, witness = is_r_colorable(h, r)
+    assert (witness.colors if ok else None) == (proper[0] if proper else None)
+    orders = list(permutations(range(h.vertex_count)))
+    assert greedy_success_exact(h, r) == OrderingStatistics(
+        len(orders), sum(naive_greedy_is_proper(h, o, r) for o in orders)
+    )
+
+
+def reference_search(h, r, limit=None):
+    """The recursive search as it stood before the last vertex was counted
+    without placing it and before r = 1 had a closed form: (colorings found
+    up to `limit`, the first, tried (vertex, color) assignments), unbudgeted."""
+    state = _EdgeState(h, r)
+    colors = [0] * h.vertex_count
+    first = None
+    found = nodes = 0
+
+    def search(v):
+        nonlocal first, found, nodes
+        if v == h.vertex_count:
+            found += 1
+            if found == 1:
+                first = colors.copy()
+            return found == limit
+        blocked = state.blocked(v)
+        saved = state.save(v)
+        for j in range(1, r + 1):
+            nodes += 1
+            if blocked >> j & 1:
+                continue
+            colors[v] = j
+            state.place(v, j)
+            if search(v + 1):
+                return True
+            state.unplace(v, saved)
+        return False
+
+    search(0)
+    return found, first, nodes
+
+
+def check_budget_is_the_reference_count(h, r):
+    """Both search oracles answer as the reference at budget = its tried
+    assignments, and one below it raise the search's exact message."""
+    for oracle, limit in ((is_r_colorable, 1), (count_proper_colorings, None)):
+        found, first, nodes = reference_search(h, r, limit)
+        if oracle is is_r_colorable:
+            ok, witness = oracle(h, r, budget=nodes)
+            assert (ok, list(witness.colors) if ok else None) == (found > 0, first)
+        else:
+            assert oracle(h, r, budget=nodes) == found
+        if nodes:
+            message = re.escape(f"colorability search exceeded budget {nodes - 1}")
+            with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+                oracle(h, r, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("h,r", [pytest.param(h, r, id=name) for name, h, r in fixed_suite()])
+def test_suite_budget_is_the_reference_count(h, r):
+    check_budget_is_the_reference_count(h, r)
+
+
+@pytest.mark.parametrize("h", SMALL)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_small_budget_is_the_reference_count(h, r):
+    check_budget_is_the_reference_count(h, r)
+
+
+@given(hypergraphs(max_vertices=7, max_edges=6), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_budget_is_the_reference_count(h, r):
+    check_budget_is_the_reference_count(h, r)
+
+
+class TestOneColor:
+    """r = 1 has the one coloring all ones, proper iff there is no edge."""
+
+    LONG = Hypergraph(1200, [(1198, 1199)])
+
+    def test_long_instance_is_answered_without_recursion(self):
+        assert is_r_colorable(self.LONG, 1) == (False, None)
+        assert count_proper_colorings(self.LONG, 1) == 0
+
+    def test_long_instance_without_edges(self):
+        ok, witness = is_r_colorable(Hypergraph(1200, []), 1)
+        assert ok and witness.colors == (1,) * 1200
+        assert count_proper_colorings(Hypergraph(1200, []), 1) == 1
+
+    @pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings])
+    def test_long_instance_budget_is_the_tried_assignments(self, oracle):
+        # vertices 0..1198 take color 1, and 1199 tries it and finds it
+        # blocked: 1,200 tried assignments
+        oracle(self.LONG, 1, budget=1200)
+        message = re.escape("colorability search exceeded budget 1199")
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            oracle(self.LONG, 1, budget=1199)
+
+    def test_census_refuses_one_color(self):
+        with pytest.raises(ValueError, match="need r >= 2, got 1"):
+            greedy_success_exact(self.LONG, 1)
+
+
+@pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings, greedy_success_exact])
+def test_negative_budget_is_a_value_error(oracle):
+    message = re.escape("the oracle budget must be nonnegative, got -1")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle(Hypergraph(0, []), 2, budget=-1)
+
+
+def test_budget_zero_is_a_budget():
+    empty = Hypergraph(0, [])
+    assert is_r_colorable(empty, 2, budget=0) == (True, Coloring((), 2))
+    assert count_proper_colorings(empty, 2, budget=0) == 1
+    with pytest.raises(BudgetExceededError, match=re.escape("0! orderings exceed budget 0")):
+        greedy_success_exact(empty, 2, budget=0)
