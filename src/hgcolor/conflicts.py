@@ -110,9 +110,10 @@ def _firsts_lasts(
 
 def _firsts_lasts_batch(
     edge_matrix: np.ndarray, orders: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_firsts_lasts for each row of `orders` (trials x vertices, each a
-    processing order): (trials x edges) arrays of first and last vertices.
+    processing order): (trials x edges) arrays of first vertices, last
+    vertices and closing positions (the rank of the last vertex).
 
     A vertex's rank is its position in the order, which already breaks
     time ties by index, so an edge's first and last vertex hold its least
@@ -125,9 +126,11 @@ def _firsts_lasts_batch(
     edge_ranks = ranks[:, edge_matrix]
     # (the initial values only give an instance without edges a defined
     # empty reduction)
+    closing = edge_ranks.max(axis=2, initial=0)
     return (
         orders[rows, edge_ranks.min(axis=2, initial=v_count)],
-        orders[rows, edge_ranks.max(axis=2, initial=0)],
+        orders[rows, closing],
+        closing,
     )
 
 

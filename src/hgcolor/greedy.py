@@ -8,12 +8,14 @@ recorded as forced. Variants: an explicit-permutation driver, a two-phase
 precolor-then-greedy scheme for two colors, and a random equitable-partition
 baseline.
 
-That rule lives in the private edge state ``_EdgeState``: every sweep here
-and the exact oracles in :mod:`hgcolor.oracle` decide blocked colors and
-update edges through it. The Monte Carlo trial engine runs
-``_succeeds_batch``, the same rule on packed per-edge integers for many
-processing orders at once; :func:`greedy_succeeds` is its reference in the
-tests.
+That rule lives in the private edge state ``_EdgeState``: every scalar
+sweep here and the exact oracles in :mod:`hgcolor.oracle` decide blocked
+colors and update edges through it. The Monte Carlo trial engine runs
+``_succeeds_closing`` for many processing orders at once. It reads each
+edge once, when its last vertex is colored and every other vertex already
+has its final color; the edge blocks a color exactly when those colors,
+kept as bits, OR to that one color. :func:`greedy_succeeds` is its
+reference in the tests.
 """
 
 from __future__ import annotations
@@ -105,68 +107,110 @@ class _EdgeState:
             seen[ei] = c
 
 
-_WORD = 62  # colors per blocked-color word of the batched sweep
+_WORD = 62  # colors per word of the batched sweep
+_ELSEWHERE = 1 << _WORD  # a word's code for a color in another word
 
 
-def _succeeds_batch(h: Hypergraph, orders: np.ndarray, r: int) -> np.ndarray:
-    """greedy_succeeds for each row of `orders` (trials x vertices), with
-    all rows swept in lockstep over processing positions.
+def _word_codes(colors: np.ndarray, base: int) -> np.ndarray:
+    """Codes of `colors` in the word of colors base+1 .. base+_WORD: bit
+    c-base-1 for a color c of the word, _ELSEWHERE for any other color and 0
+    for an uncolored vertex (color 0)."""
+    offset = colors - (base + 1)
+    inside = (offset >= 0) & (offset < _WORD)
+    codes = np.where(inside, 1 << offset.clip(0, _WORD - 1), _ELSEWHERE)
+    codes[colors == 0] = 0
+    return codes
 
-    Each edge's state is one int64: (uncolored count - 1) above two w-bit
-    fields, the OR of the colors its colored vertices have and the OR of
-    their complements. The edge has seen exactly the color a iff the fields
-    are (a, ~a), so it blocks a for its last vertex iff its state equals
-    sig[a], a table that also serves as the OR pattern that places color a.
-    (int64 holds this while 2w + bits(vertex count + 1) <= 63, far past any
-    instance whose incidence matrix fits in memory.) An edge of one vertex
-    blocks every color, so any singleton edge fails every trial.
+
+def _lowest_free(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The lowest free color bit of one word per vertex being colored.
+
+    `codes` holds the word codes of the vertices of the edges the vertices
+    close (one column per edge, those of one vertex consecutive from its
+    entry in `starts`). The closing vertex is uncolored and every other
+    vertex of an edge is colored, so the edge blocks a color exactly when
+    its codes OR to that color's single bit. Returns, per vertex, the lowest
+    bit that no edge blocks, or _ELSEWHERE when the word's colors are all
+    blocked.
     """
-    trials, v_count = orders.shape
+    seen = np.bitwise_or.reduce(codes, axis=0)
+    blocked = np.bitwise_or.reduceat(np.where(seen & (seen - 1), 0, seen), starts)
+    blocked &= _ELSEWHERE - 1
+    return ~blocked & (blocked + 1)
+
+
+def _succeeds_closing(
+    h: Hypergraph, closing: np.ndarray, lasts: np.ndarray, r: int
+) -> np.ndarray:
+    """greedy_succeeds for many processing orders at once, given each
+    order's (trials x edges) closing positions (the largest rank among an
+    edge's vertices) and last vertices.
+
+    A color is blocked for a vertex only through an edge that the vertex
+    closes, and then every other vertex of the edge has its final color. So
+    the sweep reads each edge once, at its closing position, with the
+    entries (trial, edge) sorted by that position. A vertex that closes no
+    edge takes color 1, written before the sweep. Colors are kept as word
+    codes (see _word_codes) of the first word in a (trials x vertices)
+    array; the colors of a later word are read off exact colors, kept once
+    r exceeds one word, for the vertices that find the whole word blocked.
+    An edge of one vertex blocks every color, so any singleton edge fails
+    every trial.
+    """
+    trials, m = closing.shape
+    v_count = h.vertex_count
     if 1 in h.edge_sizes:
         return np.zeros(trials, dtype=bool)
-    inc = h.incidence_matrix
-    m = h.edge_count
-    # an unforced vertex takes at most (its degree + 1)-th color, so colors
-    # above `cap` appear only in rows that have already failed, and never
-    # above cap + 1
-    cap = min(r, inc.shape[1] + 1)
-    w = (cap + 1).bit_length()
-    codes = np.arange(1 << w, dtype=np.int64)
-    sig = ((~codes & ((1 << w) - 1)) << w) | codes
-    one_left = 1 << (2 * w)
-    # words[q][a]: the bit of color a among colors q*_WORD+1 .. (q+1)*_WORD
-    words = []
-    for base in range(0, cap, _WORD):
-        word = np.zeros(len(codes), dtype=np.int64)
-        for a in range(base + 1, min(base + _WORD, cap) + 1):
-            word[a] = 1 << (a - base - 1)
-        words.append(word)
-    # column m of each row is a padding edge that never closes
-    state = np.empty((trials, m + 1), dtype=np.int64)
-    state[:, :m] = (np.array(h.edge_sizes, dtype=np.int64) - 1) * one_left
-    state[:, m] = (v_count + 1) * one_left
-    state = state.ravel()
-    offsets = (np.arange(trials) * (m + 1))[:, None]
-    highest = np.zeros(trials, dtype=np.int64)  # per row, the largest color taken
-    for pos in range(v_count):
-        ix = inc[orders[:, pos]]
-        ix += offsets
-        s = state[ix]
-        a = s & (len(codes) - 1)
-        hit = s == sig[a]
-        blocked = np.bitwise_or.reduce(np.where(hit, words[0][a], 0), axis=1)
-        # the lowest clear bit, 2^(color-1), read off as a float exponent
-        color = np.frexp(~blocked & (blocked + 1))[1]
-        for q in range(1, len(words)):
-            # rows whose first q words are all blocked read on
-            rows = np.flatnonzero(color == q * _WORD + 1)
-            if not rows.size:
-                break
-            blocked = np.bitwise_or.reduce(np.where(hit[rows], words[q][a[rows]], 0), axis=1)
-            color[rows] += np.frexp(~blocked & (blocked + 1))[1] - 1
-        np.maximum(highest, color, out=highest)
-        state[ix] = (s | sig[color][:, None]) - one_left
-    return highest <= r
+    if not m:
+        return np.ones(trials, dtype=bool)
+    # a stable sort of 16-bit keys is a radix sort; entries closing at one
+    # position stay in (trial, edge) order
+    keys = closing.astype(np.int16 if v_count <= 1 << 15 else np.int32).ravel()
+    entry = np.argsort(keys, kind="stable")
+    pos, row = keys[entry], entry // m
+    # column i: where the vertices of entry i's edge keep their codes (a
+    # batch holds fewer than 2^31 of them, see montecarlo._BATCH_ELEMENTS)
+    cells = np.take(h.edge_matrix.T.astype(np.int32), entry % m, axis=1)
+    cells += (row * v_count).astype(np.int32)
+    # one group of entries per vertex being colored, at its (position, trial)
+    first = np.ones(len(entry), dtype=bool)
+    first[1:] = (pos[1:] != pos[:-1]) | (row[1:] != row[:-1])
+    group = np.flatnonzero(first)
+    target = row[group] * v_count + lasts.ravel()[entry[group]]
+    per_position = np.bincount(pos, minlength=v_count)
+    entry_end = np.cumsum(per_position)
+    local = group - (entry_end - per_position)[pos[group]]
+    group_end = np.cumsum(np.bincount(pos[group], minlength=v_count))
+    codes = np.ones(trials * v_count, dtype=np.int64)
+    codes[(np.arange(trials)[:, None] * v_count + lasts).ravel()] = 0
+    wide = r > _WORD
+    colors = codes.copy() if wide else None
+    e0 = g0 = 0
+    for e1, g1 in zip(entry_end.tolist(), group_end.tolist()):
+        if g1 == g0:
+            continue
+        at = cells[:, e0:e1]
+        free = _lowest_free(codes.take(at), local[g0:g1])
+        codes[target[g0:g1]] = free
+        if wide:
+            # free is 2^(color - 1) within its word: read off the exponent
+            color = np.frexp(free)[1]
+            sizes = np.diff(local[g0:g1], append=e1 - e0)
+            base = 0
+            more = np.flatnonzero(free == _ELSEWHERE)
+            while more.size and base + _WORD < r:
+                base += _WORD
+                pick = np.repeat(np.isin(np.arange(g1 - g0), more), sizes)
+                starts = np.concatenate(([0], np.cumsum(sizes[more])[:-1]))
+                free = _lowest_free(_word_codes(colors.take(at[:, pick]), base), starts)
+                color[more] = base + np.frexp(free)[1]
+                more = more[free == _ELSEWHERE]
+            colors[target[g0:g1]] = color
+        e0, g0 = e1, g1
+    if wide:
+        return colors.reshape(trials, v_count).max(axis=1) <= r
+    # color c has code 1 << (c - 1), and any color past the word _ELSEWHERE
+    return codes.reshape(trials, v_count).max(axis=1) < 1 << r
 
 
 def _first_free(blocked: int) -> int:

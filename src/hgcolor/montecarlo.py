@@ -7,10 +7,14 @@ and 99% Wilson intervals (well behaved at estimates of 0 and 1, which
 non-colorable and trivially colorable instances produce).
 
 Trials run in batches: the rows of one (trials x vertices) array of birth
-times, row i still drawn from (master seed, i). The greedy sweep
-(:func:`hgcolor.greedy._succeeds_batch`) and the first/last vertices
-(:func:`hgcolor.conflicts._firsts_lasts_batch`) handle a whole batch as
-numpy arrays, and the pair, short-edge and B/P/R counts follow from those.
+times, row i still drawn from (master seed, i). One gather
+(:func:`hgcolor.conflicts._firsts_lasts_batch`) gives every edge's first
+and last vertex and its closing position for a whole batch. The greedy
+sweep (:func:`hgcolor.greedy._succeeds_closing`) reads each edge once, at
+its closing position, in entries sorted by that position: the closing
+vertex's blocked colors are those its closed edges show as their only
+color. Pair, short-edge and B/P/R counts follow from the first and last
+vertices. Each trial's counts are the columns named by :class:`_Column`.
 Chains are counted on request for the whole batch too
 (:func:`hgcolor.conflicts._chains_batch`, walks grown from each edge along
 last -> first matches, at every r).
@@ -35,7 +39,9 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
+from enum import IntEnum
 from math import ceil, log, sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +51,8 @@ from .conflicts import (
     _chains_batch,
     _firsts_lasts_batch,
 )
-from .greedy import _succeeds_batch, equitable_partition_color
-from .hypergraph import Hypergraph, is_proper, uniformity
+from .greedy import _succeeds_closing, equitable_partition_color
+from .hypergraph import Hypergraph, uniformity
 
 # the standard normal quantiles at 0.975 and 0.995 (scipy's ndtri, to the bit)
 Z95 = 1.959963984540054
@@ -129,6 +135,20 @@ class MonteCarloReport:
 _BATCH_ELEMENTS = 1 << 19
 
 
+class _Column(IntEnum):
+    """The counts one trial reports: the columns of _TrialEngine.run, in
+    order, which monte_carlo sums over the trials."""
+
+    SUCCESS = 0
+    PAIRS = 1
+    SHORT = 2
+    B = 3
+    P_MID = 4
+    R_INT = 5
+    CHAINS = 6
+    CEILING = 7  # 1 when the chain count passed the ceiling
+
+
 class _TrialEngine:
     """Per-hypergraph precomputation for batches of trials."""
 
@@ -159,37 +179,37 @@ class _TrialEngine:
 
     def run(self, times: np.ndarray) -> np.ndarray:
         """Trials given as rows of birth times (trials x vertices): one row
-        (success, pairs, short, b, p_mid, r_int, chains, ceiling_flag) each."""
+        of counts each, in the columns of _Column."""
         trials, v_count = times.shape
-        out = np.zeros((trials, 8), dtype=np.int64)
+        out = np.zeros((trials, len(_Column)), dtype=np.int64)
         # a stable sort by time alone breaks ties by ascending index
         orders = np.argsort(times, axis=1, kind="stable")
-        out[:, 0] = _succeeds_batch(self.h, orders, self.r)
-        firsts, lasts = _firsts_lasts_batch(self.h.edge_matrix, orders)
+        firsts, lasts, closing = _firsts_lasts_batch(self.h.edge_matrix, orders)
+        out[:, _Column.SUCCESS] = _succeeds_closing(self.h, closing, lasts, self.r)
         rows = np.arange(trials)[:, None]
         if self.short_threshold is not None:
             span = times[rows, lasts] - times[rows, firsts]
-            out[:, 2] = np.count_nonzero(span < self.short_threshold, axis=1)
+            out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
         # pairs meeting at v: (edges last at v) x (edges first at v)
         offset = rows * v_count
         n_first = np.bincount((firsts + offset).ravel(), minlength=trials * v_count)
         n_last = np.bincount((lasts + offset).ravel(), minlength=trials * v_count)
         here = (n_first * n_last).reshape(trials, v_count) - self.singletons
-        out[:, 1] = here.sum(axis=1)
+        out[:, _Column.PAIRS] = here.sum(axis=1)
         if self.p is not None:
             below = times < self.part_lo
-            out[:, 3] = (here * below).sum(axis=1)
-            out[:, 4] = (here * (~below & (times < self.part_hi))).sum(axis=1)
-            out[:, 5] = (here * (times >= self.part_hi)).sum(axis=1)
+            out[:, _Column.B] = (here * below).sum(axis=1)
+            out[:, _Column.P_MID] = (here * (~below & (times < self.part_hi))).sum(axis=1)
+            out[:, _Column.R_INT] = (here * (times >= self.part_hi)).sum(axis=1)
         if self.count_chains:
-            out[:, 6], out[:, 7] = _chains_batch(
+            out[:, _Column.CHAINS], out[:, _Column.CEILING] = _chains_batch(
                 self.h, firsts, lasts, self.r, self.chain_ceiling, _BATCH_ELEMENTS
             )
         return out
 
 
 def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[int, ...]:
-    totals = np.zeros(8, dtype=np.int64)
+    totals = np.zeros(len(_Column), dtype=np.int64)
     times = np.empty((engine.batch, engine.v_count))
     for lo in range(start, stop, engine.batch):
         block = times[: min(engine.batch, stop - lo)]
@@ -297,7 +317,9 @@ def monte_carlo(
         parts += _run_pool(engine, seed, done, trials, size)
     elif left:
         parts.append(_run_range(engine, seed, done, trials))
-    succ, pairs, short, cb, cp, cr, chains, flagged = (sum(col) for col in zip(*parts))
+    total = [sum(col) for col in zip(*parts)]
+    succ, pairs, short = total[_Column.SUCCESS], total[_Column.PAIRS], total[_Column.SHORT]
+    chains, flagged = total[_Column.CHAINS], total[_Column.CEILING]
     est = _estimate(succ, trials)
     chain_trials = trials - flagged
     return MonteCarloReport(
@@ -315,7 +337,11 @@ def monte_carlo(
         mean_conflicting_pairs=pairs / trials,
         total_short_edges=short if p is not None else None,
         mean_short_edges=short / trials if p is not None else None,
-        interval_counts=(cb, cp, cr) if (p is not None and r == 2) else None,
+        interval_counts=(
+            (total[_Column.B], total[_Column.P_MID], total[_Column.R_INT])
+            if (p is not None and r == 2)
+            else None
+        ),
         total_conflicting_chains=chains if count_chains else None,
         mean_conflicting_chains=(
             chains / chain_trials if count_chains and chain_trials else None
@@ -331,5 +357,21 @@ def baseline_equitable_success(
     h.require_valid()
     if trials < 1:
         raise ValueError("need at least one trial")
-    succ = sum(is_proper(h, equitable_partition_color(h, [seed, i], r))[0] for i in range(trials))
+    succ = sum(
+        not _has_monochromatic_edge(h, equitable_partition_color(h, [seed, i], r).colors)
+        for i in range(trials)
+    )
     return _estimate(succ, trials)
+
+
+def _has_monochromatic_edge(h: Hypergraph, colors: Sequence[int]) -> bool:
+    """Whether some edge has one color; is_proper's test, stopping at the
+    first such edge and, within an edge, at the first other color."""
+    for e in h.edges:
+        first = colors[e[0]]
+        for v in e:
+            if colors[v] != first:
+                break
+        else:
+            return True
+    return False

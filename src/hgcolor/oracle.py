@@ -17,6 +17,7 @@ ValueError.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -55,7 +56,8 @@ def _proper_colorings(
     colors in ascending order): how many, up to `limit`, and the first, or
     None. The budget caps tried (vertex, color) assignments, blocked colors
     included, and fails loudly; above 32 vertices the search is refused at
-    once when r^V exceeds it.
+    once when r^V exceeds it. The search nests one call per vertex, so a
+    search that reaches Python's recursion limit fails loudly too.
 
     The last vertex's free colors are counted without being placed, since
     each completes a proper coloring. At r = 1 the search is one path, so
@@ -112,7 +114,13 @@ def _proper_colorings(
                 return True
         return False
 
-    search(0)
+    try:
+        search(0)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"colorability search on {v_count} vertices nests deeper than "
+            f"Python's recursion limit ({sys.getrecursionlimit()}) allows"
+        ) from None
     return found, first
 
 

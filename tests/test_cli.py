@@ -85,6 +85,14 @@ class TestOracle:
         assert "budget" in err
 
 
+    def test_search_past_the_recursion_limit_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "wide.hg"
+        write_hypergraph(Hypergraph(1200, []), str(path))
+        code, out, err = run(capsys, "oracle", "--in", str(path), "--oracle-budget", str(10**400))
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: colorability search on 1200 vertices nests deeper")
+        assert out == ""
+
     def test_one_color_exits_2_without_traceback(self, tmp_path, capsys):
         # r = 1 is answered in closed form, so a long instance no longer
         # recurses once per vertex; the census then refuses r < 2

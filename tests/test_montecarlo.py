@@ -173,6 +173,26 @@ class TestEquitableBaseline:
         rep = baseline_equitable_success(h, r, 500, seed=7)
         assert (rep.trials, rep.successes) == (500, successes)
 
+    def test_monochromatic_check_agrees_with_is_proper(self):
+        """The baseline's early-stopping test answers as is_proper does."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from hgcolor import Coloring, is_proper
+        from hgcolor.montecarlo import _has_monochromatic_edge
+
+        from conftest import hypergraphs
+
+        @given(hypergraphs(), st.data())
+        @settings(max_examples=200)
+        def check(h, data):
+            colors = data.draw(st.lists(
+                st.integers(1, 3), min_size=h.vertex_count, max_size=h.vertex_count
+            ))
+            assert _has_monochromatic_edge(h, colors) == (not is_proper(h, Coloring(colors, 3))[0])
+
+        check()
+
 
 def test_engine_counts_match_reference_structures():
     """The trial engine's inline pair/short counting agrees with the
@@ -229,7 +249,7 @@ def test_batch_rows_match_scalar_references():
     @given(
         hypergraphs_with_times(),
         st.data(),
-        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3, 4, 5]),
         st.integers(min_value=0, max_value=4),
     )
     @settings(max_examples=150, deadline=None)
@@ -363,6 +383,85 @@ def test_success_exact_beyond_one_word_of_colors(r):
         )
         rep = monte_carlo(h, r, trials, seed)
         assert rep.successes == want
+
+
+def _success_rows(h, r, block):
+    """The engine's success column for the rows of `block`, and
+    greedy_succeeds on each row's birth-time order."""
+    from hgcolor.greedy import greedy_succeeds
+    from hgcolor.montecarlo import _Column, _TrialEngine
+
+    engine = _TrialEngine(h, r, None, count_chains=False, chain_ceiling=0)
+    got = engine.run(block)[:, _Column.SUCCESS].tolist()
+    want = [int(greedy_succeeds(h, np.argsort(row, kind="stable").tolist(), r)) for row in block]
+    return got, want
+
+
+@pytest.mark.parametrize(
+    "instance, r", [((60, 5, 300), 2), ((40, 8, 200), 2), ((40, 8, 200), 3)]
+)
+def test_success_rows_match_scalar(instance, r):
+    """Row by row, the closing-edge sweep agrees with greedy_succeeds, also
+    where nearly every row fails (the first instance at r = 2)."""
+    h = gen_random_uniform(*instance, seed=1)
+    block = np.random.default_rng(8).random((150, h.vertex_count))
+    got, want = _success_rows(h, r, block)
+    assert got == want
+    if instance == (60, 5, 300):
+        assert sum(want) < 0.1 * len(want)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_success_rows_where_padding_is_the_closing_vertex(r):
+    """edge_matrix pads a short edge with its first vertex. Vertex 0 comes
+    last here, so it closes every edge it is in, padding included, and the
+    padded columns must read as uncolored."""
+    h = Hypergraph(7, [(0, 1), (0, 2, 3), (1, 2, 4, 5, 6), (2, 3), (0, 4, 5, 6)])
+    block = np.random.default_rng(9).random((300, 7))
+    block[:, 0] = 1.0
+    got, want = _success_rows(h, r, block)
+    assert got == want
+    if r == 2:
+        assert 0 < sum(want) < len(want)
+
+
+def test_success_rows_beyond_16_bit_positions():
+    """Past 2^15 vertices the closing positions no longer fit 16-bit sort
+    keys; the sweep must still process them in order."""
+    outcomes = []
+    for instance in [(60, 5, 300), (40, 8, 200)]:
+        small = gen_random_uniform(*instance, seed=1)
+        h = Hypergraph(36_000, [tuple(900 * v % 35_999 for v in e) for e in small.edges])
+        block = np.random.default_rng(10).random((6, h.vertex_count))
+        got, want = _success_rows(h, 2, block)
+        assert got == want
+        outcomes += want
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_success_rows_mixing_words_in_one_edge():
+    """Past one word of colors, an edge whose other vertices have colors 1
+    and 67 blocks nothing. K_67 on vertices 0..66 gives vertex 66 color 67
+    when it comes last; vertex 67 then finds colors 1..66 blocked by its
+    pairs, and its triple (0, 66, 67) must leave it color 67."""
+    clique = [(u, v) for u in range(67) for v in range(u + 1, 67)]
+    h = Hypergraph(68, clique + [(v, 67) for v in range(66)] + [(0, 66, 67)])
+    block = np.random.default_rng(12).random((20, 68))
+    block[0] = np.arange(68) / 68
+    for r in (66, 67, 68):
+        got, want = _success_rows(h, r, block)
+        assert got == want
+        assert want[0] == (r >= 67)
+
+
+@pytest.mark.parametrize("r", [2, 70])
+def test_success_without_edges_and_with_a_singleton(r):
+    """No edges: every row succeeds. An edge of one vertex blocks every
+    color, so every row fails, whatever else the instance holds."""
+    block = np.random.default_rng(11).random((5, 4))
+    assert _success_rows(Hypergraph(4, []), r, block) == ([1] * 5, [1] * 5)
+    h = Hypergraph(4, [(0, 1), (2,), (1, 2, 3)])
+    assert _success_rows(h, r, block) == ([0] * 5, [0] * 5)
 
 
 def test_report_independent_of_batch_split(monkeypatch):

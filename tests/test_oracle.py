@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -85,6 +86,16 @@ class TestSearchBudget:
         message = re.escape(f"colorability search exceeded budget {nodes - 1}")
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             oracle(h, 2, budget=nodes - 1)
+
+    @pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings])
+    def test_search_deeper_than_the_recursion_limit_is_refused(self, oracle):
+        # r^V is within the budget, but the search nests one call per vertex
+        message = re.escape(
+            "colorability search on 1200 vertices nests deeper than Python's "
+            f"recursion limit ({sys.getrecursionlimit()}) allows"
+        )
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            oracle(Hypergraph(1200, []), 2, budget=10**400)
 
     @pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings])
     def test_refused_at_once_above_32_vertices(self, oracle):
