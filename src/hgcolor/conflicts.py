@@ -4,6 +4,8 @@ First/last vertices, dangerous and conflicting edge pairs, r-chains,
 edge lengths and short edges, and attribution of conflicting pairs to the
 three-interval partition used in the two-color analysis. Everything here is
 exact for the given assignment; probabilities live in :mod:`hgcolor.bounds`.
+First/last vertices have one routine, the scalar :func:`_firsts_lasts`;
+the Monte Carlo engine reads them off a batch's processing positions.
 """
 
 from __future__ import annotations
@@ -106,32 +108,6 @@ def _firsts_lasts(
         firsts.append(fv)
         lasts.append(lv)
     return firsts, lasts
-
-
-def _firsts_lasts_batch(
-    edge_matrix: np.ndarray, orders: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_firsts_lasts for each row of `orders` (trials x vertices, each a
-    processing order): (trials x edges) arrays of first vertices, last
-    vertices and closing positions (the rank of the last vertex).
-
-    A vertex's rank is its position in the order, which already breaks
-    time ties by index, so an edge's first and last vertex hold its least
-    and greatest rank; edge_matrix pads each edge with its own vertex.
-    """
-    trials, v_count = orders.shape
-    rows = np.arange(trials)[:, None]
-    ranks = np.empty(orders.shape, dtype=np.int32)
-    ranks[rows, orders] = np.arange(v_count)
-    edge_ranks = ranks[:, edge_matrix]
-    # (the initial values only give an instance without edges a defined
-    # empty reduction)
-    closing = edge_ranks.max(axis=2, initial=0)
-    return (
-        orders[rows, edge_ranks.min(axis=2, initial=v_count)],
-        orders[rows, closing],
-        closing,
-    )
 
 
 def conflicting_pairs(h: Hypergraph, t: BirthTimeAssignment) -> list[tuple[int, int]]:

@@ -11,11 +11,11 @@ baseline.
 That rule lives in the private edge state ``_EdgeState``: every scalar
 sweep here and the exact oracles in :mod:`hgcolor.oracle` decide blocked
 colors and update edges through it. The Monte Carlo trial engine runs
-``_succeeds_closing`` for many processing orders at once. It reads each
-edge once, when its last vertex is colored and every other vertex already
-has its final color; the edge blocks a color exactly when those colors,
-kept as bits, OR to that one color. :func:`greedy_succeeds` is its
-reference in the tests.
+``_succeeds_closing`` for many processing orders at once, keeping colors
+per processing position. It reads each edge once, when its last vertex is
+colored and every other vertex already has its final color; the edge
+blocks a color exactly when those colors, kept as bits, OR to that one
+color. :func:`greedy_succeeds` is its reference in the tests.
 """
 
 from __future__ import annotations
@@ -140,22 +140,23 @@ def _lowest_free(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _succeeds_closing(
-    h: Hypergraph, closing: np.ndarray, lasts: np.ndarray, r: int
+    h: Hypergraph, edge_pos: np.ndarray, closing: np.ndarray, r: int
 ) -> np.ndarray:
-    """greedy_succeeds for many processing orders at once, given each
-    order's (trials x edges) closing positions (the largest rank among an
-    edge's vertices) and last vertices.
+    """greedy_succeeds for many processing orders at once, given the
+    positions (trial i's k-th vertex is at i * V + k) of every edge's
+    vertices, one (trials x edges) layer per edge matrix column, and
+    their largest, the closing positions.
 
     A color is blocked for a vertex only through an edge that the vertex
     closes, and then every other vertex of the edge has its final color. So
     the sweep reads each edge once, at its closing position, with the
-    entries (trial, edge) sorted by that position. A vertex that closes no
-    edge takes color 1, written before the sweep. Colors are kept as word
-    codes (see _word_codes) of the first word in a (trials x vertices)
-    array; the colors of a later word are read off exact colors, kept once
-    r exceeds one word, for the vertices that find the whole word blocked.
-    An edge of one vertex blocks every color, so any singleton edge fails
-    every trial.
+    entries (trial, edge) sorted by rank (the position within the trial).
+    A vertex that closes no edge takes color 1, written before the sweep.
+    Colors are kept as word codes (see _word_codes) of the first word in an
+    array indexed by position; the colors of a later word are read off
+    exact colors, kept once r exceeds one word, for the vertices that find
+    the whole word blocked. An edge of one vertex blocks every color, so
+    any singleton edge fails every trial.
     """
     trials, m = closing.shape
     v_count = h.vertex_count
@@ -164,32 +165,35 @@ def _succeeds_closing(
     if not m:
         return np.ones(trials, dtype=bool)
     # a stable sort of 16-bit keys is a radix sort; entries closing at one
-    # position stay in (trial, edge) order
-    keys = closing.astype(np.int16 if v_count <= 1 << 15 else np.int32).ravel()
+    # rank stay in (trial, edge) order
+    offsets = np.arange(0, trials * v_count, v_count, dtype=np.int32)[:, None]
+    keys = (closing - offsets).astype(np.int16 if v_count <= 1 << 15 else np.int32).ravel()
     entry = np.argsort(keys, kind="stable")
-    pos, row = keys[entry], entry // m
-    # column i: where the vertices of entry i's edge keep their codes (a
-    # batch holds fewer than 2^31 of them, see montecarlo._BATCH_ELEMENTS)
-    cells = np.take(h.edge_matrix.T.astype(np.int32), entry % m, axis=1)
-    cells += (row * v_count).astype(np.int32)
-    # one group of entries per vertex being colored, at its (position, trial)
+    rank, at_closing = keys[entry], closing.ravel()[entry]
+    # column i * m + e: the positions of edge e's vertices in trial i, where
+    # they keep their codes (taken per rank below, so no sorted copy of the
+    # whole batch is made)
+    cells = edge_pos.reshape(len(edge_pos), -1)
+    # one group of entries per vertex being colored, at its closing position
     first = np.ones(len(entry), dtype=bool)
-    first[1:] = (pos[1:] != pos[:-1]) | (row[1:] != row[:-1])
+    first[1:] = at_closing[1:] != at_closing[:-1]
     group = np.flatnonzero(first)
-    target = row[group] * v_count + lasts.ravel()[entry[group]]
-    per_position = np.bincount(pos, minlength=v_count)
-    entry_end = np.cumsum(per_position)
-    local = group - (entry_end - per_position)[pos[group]]
-    group_end = np.cumsum(np.bincount(pos[group], minlength=v_count))
+    target, group_rank = at_closing[group], rank[group]
+    # where each rank's entries and groups end, and each group's first
+    # entry counted from its rank's first
+    ranks = np.arange(v_count, dtype=rank.dtype)
+    entry_end = np.searchsorted(rank, ranks, side="right")
+    group_end = np.searchsorted(group_rank, ranks, side="right")
+    local = group - np.searchsorted(rank, group_rank)
     codes = np.ones(trials * v_count, dtype=np.int64)
-    codes[(np.arange(trials)[:, None] * v_count + lasts).ravel()] = 0
+    codes[target] = 0
     wide = r > _WORD
     colors = codes.copy() if wide else None
     e0 = g0 = 0
     for e1, g1 in zip(entry_end.tolist(), group_end.tolist()):
         if g1 == g0:
             continue
-        at = cells[:, e0:e1]
+        at = cells.take(entry[e0:e1], axis=1)
         free = _lowest_free(codes.take(at), local[g0:g1])
         codes[target[g0:g1]] = free
         if wide:

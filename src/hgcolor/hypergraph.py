@@ -72,16 +72,6 @@ class Hypergraph:
         return out
 
     @cached_property
-    def incidence_matrix(self) -> np.ndarray:
-        """(vertex_count, largest degree) array: row v is incidence[v],
-        padded with edge_count, one past the last edge index."""
-        width = max(map(len, self.incidence), default=0)
-        out = np.full((self.vertex_count, width), self.edge_count, dtype=np.intp)
-        for v, row in enumerate(self.incidence):
-            out[v, : len(row)] = row
-        return out
-
-    @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """What validate() reports, computed once per instance."""
         return tuple(validate(self))
@@ -245,7 +235,7 @@ def write_hypergraph(h: Hypergraph, out: IO[str] | str) -> None:
     """Write the text format; edges are emitted sorted, in list order."""
     h.require_valid()
     if isinstance(out, str):
-        with open(out, "w", newline="\n") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             write_hypergraph(h, fh)
         return
     out.write(f"{h.vertex_count} {h.edge_count}\n")
@@ -260,10 +250,20 @@ def dumps_hypergraph(h: Hypergraph) -> str:
 
 
 def read_hypergraph(src: IO[str] | str) -> Hypergraph:
-    """Parse the text format, raising HypergraphFormatError with a line number."""
+    """Parse the text format, raising HypergraphFormatError with a line number.
+
+    A path is read as UTF-8, whatever the locale; bytes that are not UTF-8
+    are a format error on the line that holds them.
+    """
     if isinstance(src, str):
-        with open(src) as fh:
-            return read_hypergraph(fh)
+        with open(src, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = f"byte 0x{data[exc.start]:02x} is not UTF-8 text"
+            raise HypergraphFormatError(data.count(b"\n", 0, exc.start) + 1, bad) from None
+        return read_hypergraph(io.StringIO(text, newline=None))
     header: tuple[int, int] | None = None
     edges: list[list[int]] = []
     for line_no, raw in enumerate(src, start=1):

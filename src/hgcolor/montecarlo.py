@@ -7,23 +7,26 @@ and 99% Wilson intervals (well behaved at estimates of 0 and 1, which
 non-colorable and trivially colorable instances produce).
 
 Trials run in batches: the rows of one (trials x vertices) array of birth
-times, row i still drawn from (master seed, i). One gather
-(:func:`hgcolor.conflicts._firsts_lasts_batch`) gives every edge's first
-and last vertex and its closing position for a whole batch. The greedy
+times, row i still drawn from (master seed, i). The engine works in
+processing positions: trial i's k-th vertex in birth-time order sits at
+position i * V + k. One gather per batch gives the positions of every
+edge's vertices; their least and greatest are the edge's opening and
+closing positions, the places of its first and last vertex. The greedy
 sweep (:func:`hgcolor.greedy._succeeds_closing`) reads each edge once, at
-its closing position, in entries sorted by that position: the closing
-vertex's blocked colors are those its closed edges show as their only
-color. Pair, short-edge and B/P/R counts follow from the first and last
-vertices. Each trial's counts are the columns named by :class:`_Column`.
-Chains are counted on request for the whole batch too
-(:func:`hgcolor.conflicts._chains_batch`, walks grown from each edge along
-last -> first matches, at every r).
+its closing position, in entries sorted by rank: the closing vertex's
+blocked colors are those its closed edges show as their only color. Spans
+and B/P/R read the birth times in processing order, and pairs meet where
+one edge closes and another opens. Only the chain walks
+(:func:`hgcolor.conflicts._chains_batch`, grown from each edge along
+last -> first matches, at every r) take vertex ids, looked up from the
+positions. Each trial's counts are the columns named by :class:`_Column`.
 :func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions of
 :mod:`hgcolor.conflicts` are their references in the tests. Pairs are
-counted in every trial, short edges and B/P/R whenever there is a p. A
-batch, and each step of its chain walks, is capped by a fixed element
-budget, so memory does not grow with the trial count, and reports do not
-depend on how trials split into batches.
+counted in every trial, short edges whenever there is a p, B/P/R when
+there is a p and r = 2, and chains on request. A batch, and each step of
+its chain walks, is capped by a fixed element budget, so memory does not
+grow with the trial count, and reports do not depend on how trials split
+into batches.
 
 :func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
 trials into contiguous ranges. With one worker it runs them all in-process.
@@ -49,7 +52,6 @@ from .conflicts import (
     DEFAULT_CHAIN_CEILING,
     IntervalPartition,
     _chains_batch,
-    _firsts_lasts_batch,
 )
 from .greedy import _succeeds_closing, equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
@@ -130,7 +132,7 @@ class MonteCarloReport:
 
 
 # A batch's largest array holds (trials in the batch) x (edges x largest
-# edge size) ranks; this caps that product, so memory stays flat however
+# edge size) positions; this caps that product, so memory stays flat however
 # many trials a call asks for.
 _BATCH_ELEMENTS = 1 << 19
 
@@ -162,18 +164,21 @@ class _TrialEngine:
     ):
         self.h = h
         self.r = r
-        self.p = p
         self.count_chains = count_chains
         self.chain_ceiling = chain_ceiling
         self.v_count = h.vertex_count
         self.short_threshold = None if p is None else (1.0 - p) / r
-        if p is not None:
+        # the report keeps B/P/R counts only at r = 2
+        self.part_lo = self.part_hi = None
+        if p is not None and r == 2:
             part = IntervalPartition(p)
             self.part_lo, self.part_hi = part.lo, part.hi
         # a singleton edge is its own first and last; (e, e) is not a pair
         self.singletons = np.bincount(
             [e[0] for e in h.edges if len(e) == 1], minlength=self.v_count
         )
+        # row k holds the k-th vertex of every edge
+        self.columns = np.ascontiguousarray(h.edge_matrix.T)
         per_trial = max(h.edge_matrix.size, self.v_count, 1)
         self.batch = max(1, _BATCH_ELEMENTS // per_trial)
 
@@ -184,26 +189,47 @@ class _TrialEngine:
         out = np.zeros((trials, len(_Column)), dtype=np.int64)
         # a stable sort by time alone breaks ties by ascending index
         orders = np.argsort(times, axis=1, kind="stable")
-        firsts, lasts, closing = _firsts_lasts_batch(self.h.edge_matrix, orders)
-        out[:, _Column.SUCCESS] = _succeeds_closing(self.h, closing, lasts, self.r)
-        rows = np.arange(trials)[:, None]
+        # positions are absolute, trial * V + rank (int32: a batch holds at
+        # most max(_BATCH_ELEMENTS, V) of them), and flat[k] is the flat
+        # index (trial * V + vertex) of the vertex at position k
+        size = trials * v_count
+        flat = (orders + np.arange(0, size, v_count)[:, None]).ravel()
+        position = np.empty(size, dtype=np.int32)
+        position[flat] = np.arange(size, dtype=np.int32)
+        position = position.reshape(trials, v_count)
+        # one (trials x edges) layer of positions per edge matrix column;
+        # the columns hold vertex ids of a valid instance, so take may
+        # write to `out` unbuffered ("clip")
+        edge_pos = np.empty((len(self.columns), trials, self.h.edge_count), dtype=np.int32)
+        for layer, column in zip(edge_pos, self.columns):
+            position.take(column, axis=1, out=layer, mode="clip")
+        # an edge's first and last vertex hold its least and greatest
+        # position (the initial values only give an instance without edges
+        # a defined empty reduction)
+        opening = edge_pos.min(axis=0, initial=size)
+        closing = edge_pos.max(axis=0, initial=0)
+        out[:, _Column.SUCCESS] = _succeeds_closing(self.h, edge_pos, closing, self.r)
+        del edge_pos  # the batch's largest array; free before the chain walks
+        sorted_times = times.ravel().take(flat)
         if self.short_threshold is not None:
-            span = times[rows, lasts] - times[rows, firsts]
+            span = sorted_times.take(closing) - sorted_times.take(opening)
             out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
-        # pairs meeting at v: (edges last at v) x (edges first at v)
-        offset = rows * v_count
-        n_first = np.bincount((firsts + offset).ravel(), minlength=trials * v_count)
-        n_last = np.bincount((lasts + offset).ravel(), minlength=trials * v_count)
-        here = (n_first * n_last).reshape(trials, v_count) - self.singletons
+        # pairs meeting at a position: (edges closing there) x (edges
+        # opening there), less the singleton edges of the vertex there
+        n_open = np.bincount(opening.ravel(), minlength=size)
+        n_close = np.bincount(closing.ravel(), minlength=size)
+        here = (n_open * n_close).reshape(trials, v_count) - self.singletons.take(orders)
         out[:, _Column.PAIRS] = here.sum(axis=1)
-        if self.p is not None:
-            below = times < self.part_lo
+        if self.part_lo is not None:
+            sorted_times = sorted_times.reshape(trials, v_count)
+            below = sorted_times < self.part_lo
             out[:, _Column.B] = (here * below).sum(axis=1)
-            out[:, _Column.P_MID] = (here * (~below & (times < self.part_hi))).sum(axis=1)
-            out[:, _Column.R_INT] = (here * (times >= self.part_hi)).sum(axis=1)
+            out[:, _Column.P_MID] = (here * (~below & (sorted_times < self.part_hi))).sum(axis=1)
+            out[:, _Column.R_INT] = (here * (sorted_times >= self.part_hi)).sum(axis=1)
         if self.count_chains:
             out[:, _Column.CHAINS], out[:, _Column.CEILING] = _chains_batch(
-                self.h, firsts, lasts, self.r, self.chain_ceiling, _BATCH_ELEMENTS
+                self.h, orders.take(opening), orders.take(closing),
+                self.r, self.chain_ceiling, _BATCH_ELEMENTS,
             )
         return out
 

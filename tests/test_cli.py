@@ -176,6 +176,18 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"3 2\n0 1\n\xff 2\n", "line 3"), ("3 1\n0 1 2\n".encode("utf-16"), "line 1")],
+        ids=["0xff-byte", "utf-16"],
+    )
+    def test_file_not_utf8_is_a_parse_error(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "mc", "--in", str(path), "--seed", "1")
+        assert code == EXIT_IO
+        assert f"{line}: byte 0xff is not UTF-8 text" in err
+
     def test_invalid_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.hg"
         path.write_text("2 1\n0 5\n")

@@ -181,3 +181,20 @@ class TestTextFormat:
         path = tmp_path / "fano.hg"
         write_hypergraph(fano, str(path))
         assert read_hypergraph(str(path)) == fano
+
+    # a 0xff byte on line 3, and a UTF-16 file (its byte-order mark is 0xff 0xfe)
+    NOT_UTF8 = [(b"3 2\n0 1\n\xff 2\n", 3), ("3 1\n0 1 2\n".encode("utf-16"), 1)]
+
+    @pytest.mark.parametrize("data, line_no", NOT_UTF8, ids=["0xff-byte", "utf-16"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, data, line_no):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(data)
+        with pytest.raises(HypergraphFormatError, match="0xff is not UTF-8") as exc:
+            read_hypergraph(str(path))
+        assert exc.value.line_no == line_no
+
+    def test_file_with_utf8_comment_and_other_line_endings(self, tmp_path):
+        """A path is decoded as UTF-8 and still split at CR LF and lone CR."""
+        path = tmp_path / "f.hg"
+        path.write_bytes("# Fano \u2014 7 lines\r\n3 1\r0 1 2\n".encode("utf-8"))
+        assert read_hypergraph(str(path)) == Hypergraph(3, [(0, 1, 2)])

@@ -223,14 +223,12 @@ def test_engine_counts_match_reference_structures():
     check()
 
 
-def test_batch_rows_match_scalar_references():
-    """Every row of a batch equals the scalar references: greedy_succeeds on
-    the birth-time order, the conflict structures, and the chain count or
-    its ceiling flag (ties, singleton edges, isolated vertices, no edges and
-    mixed edge sizes all come from the strategy)."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
+def _reference_row(h, times, r, p, ceiling):
+    """What the engine's row of counts should be for one row of birth
+    times, from the scalar references: greedy_succeeds on the birth-time
+    order, the conflict structures (B/P/R only at r = 2, the one r whose
+    report keeps them; 0 otherwise), and the chain count or its ceiling
+    flag."""
     from hgcolor import (
         BirthTimeAssignment,
         conflicting_chains,
@@ -240,6 +238,30 @@ def test_batch_rows_match_scalar_references():
     from hgcolor.conflicts import IntervalPartition, classify_conflicts_by_interval
     from hgcolor.errors import ChainCeilingError
     from hgcolor.greedy import greedy_succeeds
+
+    t = BirthTimeAssignment(times)
+    counts = classify_conflicts_by_interval(h, t, IntervalPartition(p))
+    bpr = [counts.b, counts.p, counts.r] if r == 2 else [0, 0, 0]
+    try:
+        chains, flag = len(conflicting_chains(h, t, r, ceiling)), 0
+    except ChainCeilingError:
+        chains, flag = 0, 1
+    return [
+        int(greedy_succeeds(h, t.order(), r)),
+        len(conflicting_pairs(h, t)),
+        len(short_edges(h, t, r, p)),
+        *bpr,
+        chains, flag,
+    ]
+
+
+def test_batch_rows_match_scalar_references():
+    """Every row of a batch equals the scalar references (ties, singleton
+    edges, isolated vertices, no edges and mixed edge sizes all come from
+    the strategy)."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
     from hgcolor.montecarlo import _TrialEngine
 
     from conftest import hypergraphs_with_times
@@ -264,21 +286,43 @@ def test_batch_rows_match_scalar_references():
         engine = _TrialEngine(h, r, p, count_chains=True,
                               chain_ceiling=ceiling)
         for row, got in zip(block, engine.run(block).tolist()):
-            t = BirthTimeAssignment(row.tolist())
-            counts = classify_conflicts_by_interval(h, t, IntervalPartition(p))
-            try:
-                chains, flag = len(conflicting_chains(h, t, r, ceiling)), 0
-            except ChainCeilingError:
-                chains, flag = 0, 1
-            assert got == [
-                int(greedy_succeeds(h, t.order(), r)),
-                len(conflicting_pairs(h, t)),
-                len(short_edges(h, t, r, p)),
-                counts.b, counts.p, counts.r,
-                chains, flag,
-            ]
+            assert got == _reference_row(h, row.tolist(), r, p, ceiling)
 
     check()
+
+
+_rng = np.random.default_rng(15)
+# (instance, rows of birth times): all tied; vertices in no edge; singleton
+# edges, one of them at a vertex in no other edge; singletons with ties
+_EDGE_CASES = {
+    "tied": (gen_random_uniform(40, 8, 200, seed=1), np.repeat([[0.0], [0.3], [1.0]], 40, axis=1)),
+    "isolated": (Hypergraph(12, [(0, 3, 5), (3, 7), (5, 7, 9), (0, 9)]), _rng.random((60, 12))),
+    "singletons": (
+        Hypergraph(8, [(0, 1, 2), (2,), (2, 3, 4), (4, 5), (5,), (6,), (1, 5, 7)]),
+        _rng.random((60, 8)),
+    ),
+    "singletons_tied": (
+        Hypergraph(5, [(0, 1), (1,), (1, 2, 3), (3,), (3, 4)]),
+        _rng.integers(0, 3, (60, 5)) / 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+@pytest.mark.parametrize("r", [2, 3])
+def test_engine_rows_on_edge_cases(case, r):
+    """Rows for all-tied birth times, vertices in no edge and singleton
+    edges with p set equal the scalar references. Positions and vertices
+    differ in every non-identity order, so a count read at the wrong one
+    shows here (the B/P/R columns at r = 2 read singletons per position)."""
+    from hgcolor.montecarlo import _TrialEngine
+
+    h, block = _EDGE_CASES[case]
+    p, ceiling = 0.4, 10**6
+    engine = _TrialEngine(h, r, p, count_chains=True, chain_ceiling=ceiling)
+    rows = engine.run(block).tolist()
+    assert rows == [_reference_row(h, row.tolist(), r, p, ceiling) for row in block]
+    assert any(row[1] for row in rows)  # some trial has a conflicting pair
 
 
 def test_engine_chains_match_filtered_enumeration():
@@ -462,6 +506,30 @@ def test_success_without_edges_and_with_a_singleton(r):
     assert _success_rows(Hypergraph(4, []), r, block) == ([1] * 5, [1] * 5)
     h = Hypergraph(4, [(0, 1), (2,), (1, 2, 3)])
     assert _success_rows(h, r, block) == ([0] * 5, [0] * 5)
+
+
+# (instance, r, count_chains, trials, seed) -> (successes, pairs, short
+# edges, B/P/R, chains, ceiling trials), as computed before the engine
+# moved to processing positions: the mc_paper benchmark instance at r = 2,
+# the mc_chains instance at r = 3 with chains, and the latter at r = 2,
+# where most trials fail
+_REPORT_PINS = [
+    (((200, 10, 1500), 2, False, 40, 21), (40, 31, 4, (0, 31, 0), None, 0)),
+    (((60, 5, 300), 3, True, 80, 23), (80, 3504, 27, None, 54, 0)),
+    (((60, 5, 300), 2, False, 60, 24), (3, 2683, 81, (68, 2584, 31), None, 0)),
+]
+
+
+@pytest.mark.parametrize("call, want", _REPORT_PINS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pinned_reports(call, want, workers):
+    instance, r, count_chains, trials, seed = call
+    h = gen_random_uniform(*instance, seed=1)
+    rep = monte_carlo(h, r, trials, seed, count_chains=count_chains, workers=workers)
+    assert (
+        rep.successes, rep.total_conflicting_pairs, rep.total_short_edges,
+        rep.interval_counts, rep.total_conflicting_chains, rep.chain_ceiling_trials,
+    ) == want
 
 
 def test_report_independent_of_batch_split(monkeypatch):
