@@ -6,14 +6,25 @@ three-interval partition used in the two-color analysis. Everything here is
 exact for the given assignment; probabilities live in :mod:`hgcolor.bounds`.
 First/last vertices have one routine, the scalar :func:`_firsts_lasts`;
 the Monte Carlo engine reads them off a batch's processing positions.
+
+Lemma: the conflicting r-chains are exactly the walks e_1, ..., e_r with
+last(e_i) = first(e_{i+1}) and e_{i+1} != e_i whose middle edges
+e_2..e_{r-1} are not singletons. Proof: in the (birth time, index) order
+an edge opens at its first vertex and closes at its last, so along a walk
+each e_i lies between close(e_{i-1}) = open(e_i) and close(e_i). A middle
+edge opens strictly before it closes, so e_i and e_{i+1} share only their
+link, and for j >= i + 2 all of e_i comes at or before close(e_i) <
+close(e_{i+1}) <= open(e_j): the two are disjoint. Conversely, a singleton
+{v} in the middle would be the link on both its sides, so its neighbours
+would meet at v. The Monte Carlo engine counts these walks without a meet
+test; :func:`_chains_from` and the filter over :func:`enumerate_chains`
+test disjointness directly and are its references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import ChainCeilingError
 from .hypergraph import BirthTimeAssignment, Hypergraph
@@ -228,107 +239,6 @@ def _chains_from(
         path[0] = start
         extend(1)
     return out
-
-
-def _chains_batch(
-    h: Hypergraph,
-    firsts: np.ndarray,
-    lasts: np.ndarray,
-    r: int,
-    ceiling: int,
-    cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_chains_from for each row of `firsts` and `lasts` (trials x edges
-    arrays of first and last vertices), for r >= 2: each row's chain count
-    and whether it exceeds `ceiling`, where _chains_from raises. A flagged
-    row counts 0 chains.
-
-    The walks of all rows grow together, one edge per step, from every edge:
-    a walk ending in edge e of row i takes each edge of row i first at
-    last(e), except e itself and the edges that share a vertex with an
-    earlier edge of the walk. That test takes memory linear in the edges:
-    a 64-bit mask per edge rules out most disjoint pairs, and the vertices
-    of the rest are compared through `h.edge_matrix`. The steps run depth
-    first, each in sub-batches of at most min(cap / (r + edge width),
-    ceiling + 1) candidate extensions (or one walk's, if it has more), so a
-    step's walk and vertex arrays hold at most `cap` entries; the walks of
-    a row are dropped once its count passes the ceiling, so a row with
-    plentiful chains stops soon after.
-    """
-    trials, m = firsts.shape
-    v_count = h.vertex_count
-    # the vertices of every edge, one array per edge matrix column (rows
-    # are padded with their edge's first vertex, which meets nothing new)
-    columns = list(h.edge_matrix.T.copy())
-    # bit v % 64 set for each vertex v of the edge
-    masks = np.bitwise_or.reduce(
-        np.left_shift(np.uint64(1), (h.edge_matrix % 64).astype(np.uint64)), axis=1
-    )
-    rows = np.arange(trials)[:, None]
-    # CSR over (row, vertex): the edges of row i first at v are
-    # members[starts[k] : starts[k] + sizes[k]], k = i * v_count + v
-    sizes = np.bincount((firsts + rows * v_count).ravel(), minlength=trials * v_count)
-    starts = np.cumsum(sizes) - sizes
-    members = np.argsort(firsts, axis=1).astype(np.int32).ravel()
-    # the CSR key a walk ending in edge e of row i continues from
-    nxt = (lasts + rows * v_count).ravel()
-    counts = np.zeros(trials, dtype=np.int64)
-    flagged = np.zeros(trials, dtype=bool)
-    cap = min(cap // (r + len(columns)), ceiling + 1)
-
-    def longer(row: np.ndarray, path: list[np.ndarray]):
-        """The walks (row, path) one edge longer, sub-batch by sub-batch;
-        at the last step only their rows."""
-        if flagged.any():
-            keep = ~flagged[row]
-            row, path = row[keep], [e[keep] for e in path]
-        key = nxt[row * m + path[-1]]
-        size, shift = sizes[key], starts[key]
-        ends = np.cumsum(size)
-        # candidate g (of all the step's candidates) sits at members[g + shift]
-        shift -= ends - size
-        lo = 0
-        while lo < len(row):
-            base = ends[lo] - size[lo]
-            hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
-            src = np.repeat(np.arange(lo, hi, dtype=np.int32), size[lo:hi])
-            j = members[np.arange(base, ends[hi - 1]) + shift[src]]
-            keep = j != path[-1][src]
-            src, j = src[keep], j[keep]
-            for earlier in path[:-1]:
-                earlier = earlier[src]
-                # edges whose masks share no bit are disjoint; compare the
-                # vertices of the rest
-                maybe = np.flatnonzero(masks[earlier] & masks[j])
-                earlier_vertices = [c[earlier[maybe]] for c in columns]
-                meets = np.zeros(len(maybe), dtype=bool)
-                for w in (c[j[maybe]] for c in columns):
-                    for u in earlier_vertices:
-                        meets |= u == w
-                keep = np.ones(len(j), dtype=bool)
-                keep[maybe[meets]] = False
-                src, j = src[keep], j[keep]
-            yield row[src], (None if len(path) == r - 1 else [e[src] for e in path] + [j])
-            lo = hi
-
-    # depth first: a stack of the unfinished steps, the deepest on top (a
-    # recursive closure would keep these arrays alive in a reference cycle
-    # until the cyclic garbage collector runs)
-    stack = [longer(
-        np.repeat(np.arange(trials, dtype=np.int32), m),
-        [np.tile(np.arange(m, dtype=np.int32), trials)],
-    )]
-    while stack:
-        for row, path in stack[-1]:
-            if path is None:
-                counts += np.bincount(row, minlength=trials)
-                flagged = counts > ceiling
-            elif len(row):
-                stack.append(longer(row, path))
-                break
-        else:
-            stack.pop()
-    return np.where(flagged, 0, counts), flagged
 
 
 def short_edges(

@@ -16,17 +16,16 @@ sweep (:func:`hgcolor.greedy._succeeds_closing`) reads each edge once, at
 its closing position, in entries sorted by rank: the closing vertex's
 blocked colors are those its closed edges show as their only color. Spans
 and B/P/R read the birth times in processing order, and pairs meet where
-one edge closes and another opens. Only the chain walks
-(:func:`hgcolor.conflicts._chains_batch`, grown from each edge along
-last -> first matches, at every r) take vertex ids, looked up from the
-positions. Each trial's counts are the columns named by :class:`_Column`.
-:func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions of
-:mod:`hgcolor.conflicts` are their references in the tests. Pairs are
-counted in every trial, short edges whenever there is a p, B/P/R when
-there is a p and r = 2, and chains on request. A batch, and each step of
-its chain walks, is capped by a fixed element budget, so memory does not
-grow with the trial count, and reports do not depend on how trials split
-into batches.
+one edge closes and another opens. Conflicting chains are walks that
+continue where their last edge closes with an edge that opens there
+(:meth:`_TrialEngine._chains`, a per-position sum per step, at every r);
+the pair count is its first step. Each trial's counts are the columns
+named by :class:`_Column`. :func:`hgcolor.greedy.greedy_succeeds` and the
+per-assignment functions of :mod:`hgcolor.conflicts` are their references
+in the tests. Pairs are counted in every trial, short edges whenever there
+is a p, B/P/R when there is a p and r = 2, and chains on request. A batch
+is capped by a fixed element budget, so memory does not grow with the
+trial count, and reports do not depend on how trials split into batches.
 
 :func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
 trials into contiguous ranges. With one worker it runs them all in-process.
@@ -48,11 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .conflicts import (
-    DEFAULT_CHAIN_CEILING,
-    IntervalPartition,
-    _chains_batch,
-)
+from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition
+from .errors import NumericRangeError
 from .greedy import _succeeds_closing, equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
 
@@ -173,10 +169,11 @@ class _TrialEngine:
         if p is not None and r == 2:
             part = IntervalPartition(p)
             self.part_lo, self.part_hi = part.lo, part.hi
-        # a singleton edge is its own first and last; (e, e) is not a pair
-        self.singletons = np.bincount(
-            [e[0] for e in h.edges if len(e) == 1], minlength=self.v_count
-        )
+        # a singleton edge is its own first and last: (e, e) is not a pair,
+        # and it never sits mid-chain
+        self.singleton_edges = np.fromiter(h.edge_sizes, np.intp, h.edge_count) == 1
+        # walk counts saturate at or below this, so m of them sum in int64
+        self.walk_limit = (2**63 - 1) // (h.edge_count + 1)
         # row k holds the k-th vertex of every edge
         self.columns = np.ascontiguousarray(h.edge_matrix.T)
         per_trial = max(h.edge_matrix.size, self.v_count, 1)
@@ -215,10 +212,11 @@ class _TrialEngine:
             span = sorted_times.take(closing) - sorted_times.take(opening)
             out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
         # pairs meeting at a position: (edges closing there) x (edges
-        # opening there), less the singleton edges of the vertex there
+        # opening there), less the singleton edges there
         n_open = np.bincount(opening.ravel(), minlength=size)
         n_close = np.bincount(closing.ravel(), minlength=size)
-        here = (n_open * n_close).reshape(trials, v_count) - self.singletons.take(orders)
+        n_single = np.bincount(opening[:, self.singleton_edges].ravel(), minlength=size)
+        here = (n_open * n_close - n_single).reshape(trials, v_count)
         out[:, _Column.PAIRS] = here.sum(axis=1)
         if self.part_lo is not None:
             sorted_times = sorted_times.reshape(trials, v_count)
@@ -227,22 +225,53 @@ class _TrialEngine:
             out[:, _Column.P_MID] = (here * (~below & (sorted_times < self.part_hi))).sum(axis=1)
             out[:, _Column.R_INT] = (here * (sorted_times >= self.part_hi)).sum(axis=1)
         if self.count_chains:
-            out[:, _Column.CHAINS], out[:, _Column.CEILING] = _chains_batch(
-                self.h, orders.take(opening), orders.take(closing),
-                self.r, self.chain_ceiling, _BATCH_ELEMENTS,
-            )
+            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(n_close, opening, closing)
         return out
+
+    def _chains(self, n_close: np.ndarray, opening: np.ndarray, closing: np.ndarray):
+        """Each row's conflicting r-chain count and whether it passes the
+        ceiling (a flagged row counts 0). By the lemma in
+        :mod:`hgcolor.conflicts` the chains are the walks of last -> first
+        matches with no singleton in the middle: the walks of k + 1 edges
+        ending in e are those of k edges ending in an edge that closes where
+        e opens, summed per position (`n_close` at k = 1). Singletons count 0
+        at the middle steps and lose their own walks at the last. Counts
+        saturate at the ceiling + 1, which is exact: a saturated count
+        reaches a row's total only through a completion, and then the total
+        passes the ceiling either way. Past `walk_limit` a sum could wrap, so
+        a row that reaches it under a higher ceiling is refused.
+        """
+        cap = min(self.chain_ceiling + 1, self.walk_limit)
+        walks = np.ones(opening.shape, dtype=np.int64)
+        at = n_close
+        for step in range(2, self.r + 1):
+            if step > 2:
+                at = np.zeros_like(n_close)
+                np.add.at(at, closing.ravel(), walks.ravel())
+            last, walks = walks, at.take(opening)
+            if step < self.r:
+                walks[:, self.singleton_edges] = 0
+            else:
+                walks[:, self.singleton_edges] -= last[:, self.singleton_edges]
+            np.minimum(walks, cap, out=walks)
+        counts = walks.sum(axis=1)
+        if self.chain_ceiling >= self.walk_limit and (counts >= cap).any():
+            raise NumericRangeError(f"a conflicting chain count reached {self.walk_limit}, "
+                                    "the most counted exactly here; lower the chain ceiling")
+        flagged = counts > self.chain_ceiling
+        return np.where(flagged, 0, counts), flagged
 
 
 def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[int, ...]:
-    totals = np.zeros(len(_Column), dtype=np.int64)
+    totals = [0] * len(_Column)
     times = np.empty((engine.batch, engine.v_count))
     for lo in range(start, stop, engine.batch):
         block = times[: min(engine.batch, stop - lo)]
         for i, row in enumerate(block, start=lo):
             np.random.default_rng([seed, i]).random(out=row)
-        totals += engine.run(block).sum(axis=0)
-    return tuple(int(x) for x in totals)
+        # Python ints: chain counts near the int64 limit would wrap in numpy
+        totals = [t + sum(c) for t, c in zip(totals, engine.run(block).T.tolist())]
+    return tuple(totals)
 
 
 def _usable_cpus() -> int:

@@ -66,6 +66,16 @@ class TestMc:
         assert len(rows) == 2
         assert len(rows[0]) == len(rows[1])
 
+    def test_chain_count_past_int64_exits_3(self, tmp_path, capsys):
+        # K_100 has about 6.6e25 conflicting 30-chains in every order
+        path = tmp_path / "k100.hg"
+        run(capsys, "gen", "complete", "--m", "100", "--n", "2", "--out", str(path))
+        code, out, err = run(capsys, "mc", "--in", str(path), "--r", "30", "--trials", "2",
+                             "--count-chains", "--chain-ceiling", str(2**62))
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: a conflicting chain count reached")
+        assert out == ""
+
 
 class TestOracle:
     def test_fano(self, tmp_path, capsys):

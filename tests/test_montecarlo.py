@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,12 @@ _EDGE_CASES = {
         Hypergraph(5, [(0, 1), (1,), (1, 2, 3), (3,), (3, 4)]),
         _rng.integers(0, 3, (60, 5)) / 2,
     ),
+    # two copies of one singleton: a conflicting pair at r = 2, and neither
+    # can sit in the middle of a longer chain
+    "singletons_doubled": (
+        Hypergraph(5, [(1,), (1,), (0, 1), (1, 2, 3), (3, 4)]),
+        _rng.random((60, 5)),
+    ),
 }
 
 
@@ -372,8 +380,10 @@ def test_engine_chains_match_filtered_enumeration():
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_chain_rows_match_scalar_beyond_64_vertices(r):
-    """With more than 64 vertices, disjoint edges can share a bit of their
-    64-bit masks; the vertex comparison must still keep them apart."""
+    """On a large sparse instance (150 vertices, 400 3-edges), where most
+    edges are disjoint and long chains exist, the walk counts, which never
+    compare edges, match the scalar enumeration, which tests every earlier
+    edge of a chain for a shared vertex."""
     from hgcolor import BirthTimeAssignment, conflicting_chains, gen_random_uniform
     from hgcolor.montecarlo import _TrialEngine
 
@@ -388,9 +398,10 @@ def test_chain_rows_match_scalar_beyond_64_vertices(r):
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_chain_count_independent_of_element_cap(monkeypatch, r):
-    """Chain walks split into sub-batches of one candidate, or of a few
-    hundred, give the report of the default cap, also where the ceiling
-    trips on some trials."""
+    """Batches of one trial, or of a handful, give the report of the
+    default batch size, also where the ceiling trips on some trials (the
+    walk counts saturate per row, so a row's flag cannot depend on the
+    rows beside it)."""
     from hgcolor import gen_random_uniform
 
     h = gen_random_uniform(60, 5, 300, seed=1)
@@ -400,11 +411,59 @@ def test_chain_count_independent_of_element_cap(monkeypatch, r):
         assert want[0].total_conflicting_chains > 0
         assert 0 < want[1].chain_ceiling_trials < 24
     # (on this instance nearly every two edges meet, so 4-chains hardly ever
-    # exist; at r = 4 the split walks are the conflicting 3-edge paths)
+    # exist)
     for elements in (1, 300):
         monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", elements)
         got = [monte_carlo(h, r, 24, seed=14, count_chains=True, **kw) for kw in calls]
         assert got == want
+
+
+def test_chain_counts_on_complete_graphs_have_a_closed_form():
+    """In K_V every order has exactly C(V, r + 1) conflicting r-chains: a
+    chain is an increasing path through r + 1 vertices in processing order,
+    one for each set of r + 1 vertices. At r = 10 on K_60 each trial counts
+    C(60, 11), about 3.4e11; on K_12 the rows also match the scalar
+    enumeration at r = 2..5."""
+    from hgcolor import BirthTimeAssignment, conflicting_chains
+    from hgcolor.montecarlo import _Column, _TrialEngine
+
+    rep = monte_carlo(gen_complete_uniform(60, 2), 10, 3, 0, count_chains=True,
+                      chain_ceiling=10**12)
+    assert rep.total_conflicting_chains == 3 * comb(60, 11) == 1_028_100_375_900
+    assert rep.chain_ceiling_trials == 0
+    h = gen_complete_uniform(12, 2)
+    block = np.random.default_rng(3).random((6, 12))
+    for r in (2, 3, 4, 5):
+        engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=10**7)
+        got = engine.run(block)[:, _Column.CHAINS].tolist()
+        want = [len(conflicting_chains(h, BirthTimeAssignment(row.tolist()), r))
+                for row in block]
+        assert got == want == [comb(12, r + 1)] * len(block)
+
+
+def test_chain_count_past_int64_is_refused():
+    """K_100 has C(100, 31), about 6.6e25, conflicting 30-chains in every
+    order, past int64. Under a ceiling above the engine's exact range the
+    count is refused, never wrapped; under a ceiling inside it every trial
+    is flagged."""
+    from hgcolor.errors import NumericRangeError
+
+    h = gen_complete_uniform(100, 2)
+    with pytest.raises(NumericRangeError, match="lower the chain ceiling"):
+        monte_carlo(h, 30, 2, 0, count_chains=True, chain_ceiling=2**62)
+    rep = monte_carlo(h, 30, 4, 0, count_chains=True, chain_ceiling=10**7)
+    assert rep.chain_ceiling_trials == 4
+    assert rep.total_conflicting_chains == 0
+
+
+def test_chain_totals_past_int64_are_exact():
+    """Each trial on K_56 at r = 24 counts C(56, 25), about 5.6e15, inside
+    the engine's exact range; 1,700 trials sum past 2^63, and the total
+    stays exact."""
+    h = gen_complete_uniform(56, 2)
+    rep = monte_carlo(h, 24, 1700, 0, count_chains=True, chain_ceiling=comb(56, 25))
+    assert rep.total_conflicting_chains == 1700 * comb(56, 25) > 2**63
+    assert rep.chain_ceiling_trials == 0
 
 
 @pytest.mark.parametrize("r", [62, 63, 64, 100])
