@@ -2,11 +2,12 @@
 
 Subcommands: gen, color, mc, oracle, bounds, experiment. mc and experiment
 take the same trial flags, and oracle and experiment the same
---oracle-budget; HGCOLOR_CHAIN_CEILING and HGCOLOR_ORACLE_BUDGET set the
+--oracle-budget, which caps each exact oracle's tried (vertex, color)
+assignments; HGCOLOR_CHAIN_CEILING and HGCOLOR_ORACLE_BUDGET set the
 defaults of --chain-ceiling and --oracle-budget. bounds writes the
 certified bound table (CSV or JSON, optionally an SVG plot).
 Exit codes: 0 ok, 2 invariant violation / invalid instance,
-3 budget or numeric range exceeded, 4 IO or parse error.
+3 budget, numeric range or memory exceeded, 4 IO or parse error.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _cmd_experiment(args) -> int:
     # an unwritable path fails before any computation
     os.makedirs(args.outdir, exist_ok=True)
     report = run_experiment(config)
-    json_path, csv_path = write_report_files(report, args.outdir, plot=args.plot)[:2]
+    json_path, csv_path = write_report_files(report, args.outdir)
     print(f"wrote {json_path} and {csv_path}")
     if report.invariant_violations:
         for msg in report.invariant_violations:
@@ -238,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=int, default=1000)
     trials.add_argument("--seed", type=int, default=0)
-    trials.add_argument("--p", type=float, default=None, help="B/P/R interval width")
+    trials.add_argument("--p", type=float, default=None, help="short edges span less than (1-p)/r, and"
+                        " at r = 2 B/P/R split at (1-p)/2 and (1+p)/2 (default 2 ln(n)/n if n-uniform)")
     trials.add_argument("--count-chains", action="store_true")
     trials.add_argument("--workers", type=int, default=1)
     trials.add_argument("--chain-ceiling", type=int, default=chain_ceiling)
@@ -284,11 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--config",
         help="JSON config file in place of --in, --r, the trial and budget flags and --no-oracle"
-        " (--out and --plot still apply)",
+        " (--out still applies)",
     )
     e.add_argument("--in", dest="infile")
     e.add_argument("--no-oracle", action="store_true")
-    e.add_argument("--plot", action="store_true")
     e.add_argument("--out", dest="outdir", default="experiment_out")
     e.set_defaults(func=_cmd_experiment)
 
@@ -307,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     except (HypergraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BudgetExceededError, ChainCeilingError, NumericRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, ChainCeilingError, NumericRangeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (InvalidHypergraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Experiment orchestration: config, bound tables, reports and their
-CSV/JSON/SVG serialization.
+CSV/JSON serialization, and the SVG plot of a bound table.
 
 All numeric report content is a deterministic function of the config and
 seed (worker count included); the only nondeterministic field is the
@@ -278,22 +278,16 @@ def _mc_asdict(report: MonteCarloReport) -> dict[str, Any]:
     return d
 
 
-def write_report_files(report: ExperimentReport, out_dir: str, plot: bool = False) -> list[str]:
+def write_report_files(report: ExperimentReport, out_dir: str) -> list[str]:
+    """Write report.json and report.csv into out_dir; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report.csv")
-    paths = [json_path, csv_path]
     with open(json_path, "w", newline="\n") as fh:
         fh.write(report_to_json(report))
     with open(csv_path, "w", newline="\n") as fh:
         fh.write(report_to_csv(report))
-    if plot and report.mc.get("estimate") is not None:
-        svg_path = os.path.join(out_dir, "report.svg")
-        est = report.mc["estimate"]
-        with open(svg_path, "w", newline="\n") as fh:
-            fh.write(svg_plot({"estimate": [(0.0, est), (1.0, est)]}, "success estimate"))
-        paths.append(svg_path)
-    return paths
+    return [json_path, csv_path]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -10,6 +10,7 @@ diagnostics.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -253,7 +254,8 @@ def read_hypergraph(src: IO[str] | str) -> Hypergraph:
     """Parse the text format, raising HypergraphFormatError with a line number.
 
     A path is read as UTF-8, whatever the locale; bytes that are not UTF-8
-    are a format error on the line that holds them.
+    are a format error on the line that holds them, and so is any token
+    other than an ASCII decimal integer -?[0-9]+.
     """
     if isinstance(src, str):
         with open(src, "rb") as fh:
@@ -270,10 +272,9 @@ def read_hypergraph(src: IO[str] | str) -> Hypergraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            fields = [int(tok) for tok in line.split()]
-        except ValueError:
+        if not re.fullmatch(r"-?[0-9]+(\s+-?[0-9]+)*", line, re.ASCII):
             raise HypergraphFormatError(line_no, f"non-integer token in {line!r}")
+        fields = [int(tok) for tok in line.split()]
         if header is None:
             if len(fields) != 2:
                 raise HypergraphFormatError(

@@ -5,19 +5,18 @@ order, so averaging over permutations is exact).
 
 Colorability and counting are one backtracking search over the greedy
 module's edge state, so it decides blocked colors exactly as the greedy
-driver does; its budget counts tried (vertex, color) assignments, and it
-counts the last vertex's free colors without placing them. The ordering
-census runs on the same state but counts each partial coloring's
-successful completions once, since the greedy choice for the next vertex
-depends on the partial coloring and not on the order that produced it; it
-places a vertex only to count a child coloring the memo does not hold, and
-its budget is the V! orderings, checked up front. A negative budget is a
-ValueError.
+driver does. The ordering census runs on the same state but counts each
+partial coloring's successful completions once, since the greedy choice
+for the next vertex depends on the partial coloring and not on the order
+that produced it. All three charge one budget, tried (vertex, color)
+assignments, through :func:`_budgeted`; a negative budget is a ValueError.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -38,8 +37,6 @@ class OrderingStatistics:
 
     @property
     def success_probability(self) -> Fraction:
-        if self.total_orderings == 0:
-            return Fraction(1)
         return Fraction(self.proper_orderings, self.total_orderings)
 
 
@@ -49,15 +46,32 @@ def check_budget(budget: int) -> None:
         raise ValueError(f"the oracle budget must be nonnegative, got {budget}")
 
 
+@contextmanager
+def _budgeted(name: str, h: Hypergraph, r: int, budget: int) -> Iterator[str]:
+    """Run the exact search `name` under `budget` tried assignments: refuse
+    at once above 32 vertices when r^V exceeds it, yield the message for a
+    search whose count passes it, and refuse a search that reaches Python's
+    recursion limit (each search nests one call per vertex)."""
+    check_budget(budget)
+    v_count = h.vertex_count
+    if v_count > 32 and r**v_count > budget:
+        raise BudgetExceededError(f"{name} on {v_count} vertices exceeds budget {budget}")
+    try:
+        yield f"{name} exceeded budget {budget}"
+    except RecursionError:
+        raise BudgetExceededError(
+            f"{name} on {v_count} vertices nests deeper than "
+            f"Python's recursion limit ({sys.getrecursionlimit()}) allows"
+        ) from None
+
+
 def _proper_colorings(
     h: Hypergraph, r: int, budget: int, limit: int | None = None
 ) -> tuple[int, list[int] | None]:
     """Proper r-colorings in lexicographic order (vertices 0..V-1 take
     colors in ascending order): how many, up to `limit`, and the first, or
-    None. The budget caps tried (vertex, color) assignments, blocked colors
-    included, and fails loudly; above 32 vertices the search is refused at
-    once when r^V exceeds it. The search nests one call per vertex, so a
-    search that reaches Python's recursion limit fails loudly too.
+    None, under :func:`_budgeted`; every tried (vertex, color) assignment
+    is charged, blocked colors included.
 
     The last vertex's free colors are counted without being placed, since
     each completes a proper coloring. At r = 1 the search is one path, so
@@ -66,62 +80,49 @@ def _proper_colorings(
     h.require_valid()
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    check_budget(budget)
-    v_count = h.vertex_count
-    if v_count > 32 and r**v_count > budget:
-        raise BudgetExceededError(
-            f"colorability search on {v_count} vertices exceeds budget {budget}"
-        )
-    if r == 1:
-        # all ones is the only 1-coloring; the search gives vertex v its
-        # color unless v is the largest vertex of an edge, and stops there
-        tried = min((e[-1] + 1 for e in h.edges), default=v_count)
-        if tried > budget:
-            raise BudgetExceededError(f"colorability search exceeded budget {budget}")
-        return (0, None) if h.edges else (1, [1] * v_count)
-    if v_count == 0:
-        return 1, []
-    state = _EdgeState(h, r)
-    colors = [0] * v_count
-    last = v_count - 1
-    first = None
-    found = nodes = 0
+    with _budgeted("colorability search", h, r, budget) as over:
+        v_count = h.vertex_count
+        if r == 1:
+            # all ones is the only 1-coloring; the search gives vertex v its
+            # color unless v is the largest vertex of an edge, and stops there
+            if min((e[-1] + 1 for e in h.edges), default=v_count) > budget:
+                raise BudgetExceededError(over)
+            return (0, None) if h.edges else (1, [1] * v_count)
+        if v_count == 0:
+            return 1, []
+        state = _EdgeState(h, r)
+        colors = [0] * v_count
+        last = v_count - 1
+        first = None
+        found = nodes = 0
 
-    def search(v: int) -> bool:
-        """Extend colors[:v]; True once `limit` colorings are found."""
-        nonlocal first, found, nodes
-        blocked = state.blocked(v)
-        saved = state.save(v) if v < last else None
-        for j in range(1, r + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"colorability search exceeded budget {budget}"
-                )
-            if blocked >> j & 1:
-                continue
-            colors[v] = j
-            if v < last:
-                state.place(v, j)
-                if search(v + 1):
+        def search(v: int) -> bool:
+            """Extend colors[:v]; True once `limit` colorings are found."""
+            nonlocal first, found, nodes
+            blocked = state.blocked(v)
+            saved = state.save(v) if v < last else None
+            for j in range(1, r + 1):
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(over)
+                if blocked >> j & 1:
+                    continue
+                colors[v] = j
+                if v < last:
+                    state.place(v, j)
+                    if search(v + 1):
+                        return True
+                    state.unplace(v, saved)
+                    continue
+                found += 1
+                if found == 1:
+                    first = colors.copy()
+                if found == limit:
                     return True
-                state.unplace(v, saved)
-                continue
-            found += 1
-            if found == 1:
-                first = colors.copy()
-            if found == limit:
-                return True
-        return False
+            return False
 
-    try:
         search(0)
-    except RecursionError:
-        raise BudgetExceededError(
-            f"colorability search on {v_count} vertices nests deeper than "
-            f"Python's recursion limit ({sys.getrecursionlimit()}) allows"
-        ) from None
-    return found, first
+        return found, first
 
 
 def is_r_colorable(
@@ -154,50 +155,53 @@ def greedy_success_exact(
     (r+1)^V partial colorings rather than the V! orderings. A vertex is
     placed on the edge state only to count a child the memo does not hold;
     a memoized child adds its count, and the last uncolored vertex adds 1.
+    Budgeted as :func:`_budgeted`: each coloring counted afresh is charged
+    its number of uncolored vertices, one greedy assignment each.
     """
     h.require_valid()
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
-    check_budget(budget)
-    v_count = h.vertex_count
-    total = factorial(v_count)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{v_count}! orderings exceed budget {budget}"
-        )
-    state = _EdgeState(h, r)
-    all_blocked = state.all_blocked
-    colors = [0] * v_count
-    # the memo key is the partial coloring as a base-(r+1) number whose
-    # digit v is colors[v], 0 for uncolored
-    weight = [(r + 1) ** v for v in range(v_count)]
-    memo: dict[int, int] = {}
+    with _budgeted("ordering census", h, r, budget) as over:
+        v_count = h.vertex_count
+        state = _EdgeState(h, r)
+        all_blocked = state.all_blocked
+        colors = [0] * v_count
+        # the memo key is the partial coloring as a base-(r+1) number whose
+        # digit v is colors[v], 0 for uncolored
+        weight = [(r + 1) ** v for v in range(v_count)]
+        memo: dict[int, int] = {}
+        tried = 0
 
-    def completions(key: int, left: int) -> int:
-        """Successful completions of a partial coloring that is not in the
-        memo and has `left` >= 1 uncolored vertices."""
-        proper = 0
-        for v in range(v_count):
-            if colors[v]:
-                continue
-            blocked = state.blocked(v)
-            if blocked == all_blocked:
-                continue
-            if left == 1:
-                proper += 1
-                continue
-            j = _first_free(blocked)
-            child = key + j * weight[v]
-            known = memo.get(child)
-            if known is None:
-                saved = state.save(v)
-                state.place(v, j)
-                colors[v] = j
-                known = completions(child, left - 1)
-                colors[v] = 0
-                state.unplace(v, saved)
-            proper += known
-        memo[key] = proper
-        return proper
+        def completions(key: int, left: int) -> int:
+            """Successful completions of a partial coloring that is not in
+            the memo and has `left` >= 1 uncolored vertices."""
+            nonlocal tried
+            tried += left
+            if tried > budget:
+                raise BudgetExceededError(over)
+            proper = 0
+            for v in range(v_count):
+                if colors[v]:
+                    continue
+                blocked = state.blocked(v)
+                if blocked == all_blocked:
+                    continue
+                if left == 1:
+                    proper += 1
+                    continue
+                j = _first_free(blocked)
+                child = key + j * weight[v]
+                known = memo.get(child)
+                if known is None:
+                    saved = state.save(v)
+                    state.place(v, j)
+                    colors[v] = j
+                    known = completions(child, left - 1)
+                    colors[v] = 0
+                    state.unplace(v, saved)
+                proper += known
+            memo[key] = proper
+            return proper
 
-    return OrderingStatistics(total, completions(0, v_count) if v_count else 1)
+        proper = completions(0, v_count) if v_count else 1
+    return OrderingStatistics(factorial(v_count), proper)

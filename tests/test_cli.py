@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hgcolor import Hypergraph, experiment, loads_hypergraph, write_hypergraph
+from hgcolor import Hypergraph, cli, experiment, loads_hypergraph, write_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
 
 TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers", "chain_ceiling")
@@ -198,6 +198,46 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert f"{line}: byte 0xff is not UTF-8 text" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("\u0665 1\n0\n", "line 1"), ("3 1\n1_0 2\n", "line 2"), ("3 1\n+1 2\n", "line 2")],
+        ids=["arabic-indic-digit", "underscore", "plus-sign"],
+    )
+    def test_token_not_ascii_decimal_is_a_parse_error(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(text.encode("utf-8"))
+        code, _, err = run(capsys, "mc", "--in", str(path), "--seed", "1")
+        assert code == EXIT_IO
+        assert err.startswith(f"error: {line}: non-integer token")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("-3 0\n", "negative vertex count -3"), ("3 1\n0 -1\n", "edge 0: index out of range (-1)")],
+        ids=["header", "edge"],
+    )
+    def test_negative_value_reaches_the_instance_check(self, tmp_path, capsys, text, message):
+        path = tmp_path / "neg.hg"
+        path.write_text(text)
+        assert run(capsys, "mc", "--in", str(path), "--seed", "1") == (EXIT_INVARIANT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (MemoryError("Unable to allocate 22.4 GiB"), "error: Unable to allocate 22.4 GiB\n"),
+        ],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys, exc, message):
+        # the callee raises; nothing is allocated for real
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "monte_carlo", out_of_memory)
+        path = tmp_path / "f.hg"
+        write_hypergraph(Hypergraph(3, [(0, 1, 2)]), str(path))
+        assert run(capsys, "mc", "--in", str(path), "--seed", "1") == (EXIT_BUDGET, "", message)
+
     def test_invalid_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.hg"
         path.write_text("2 1\n0 5\n")
@@ -294,6 +334,12 @@ class TestSharedFlags:
         oracle = parser.parse_args(["oracle", "--in", "x.hg"])
         experiment = parser.parse_args(["experiment", "--in", "x.hg"])
         assert oracle.oracle_budget == experiment.oracle_budget == 123
+
+    def test_experiment_has_no_plot_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "--in", "x.hg", "--plot"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
 
     def test_color_p_is_not_the_interval_width(self):
         args = build_parser().parse_args(["color", "--in", "x.hg", "--p", "0.3"])

@@ -168,12 +168,16 @@ class TestRunExperiment:
         cfg = ExperimentConfig(source={"kind": "fano"}, trials=20, seed=1, oracle_budget=10)
         with pytest.raises(BudgetExceededError) as exc:
             greedy_success_exact(gen_fano(), 2, 10)
-        assert run_experiment(cfg).oracle["note"] == str(exc.value) == "7! orderings exceed budget 10"
+        assert run_experiment(cfg).oracle["note"] == str(exc.value) == "ordering census exceeded budget 10"
 
-    def test_colorability_is_read_off_the_census(self):
-        # the census's 3! = 6 orderings fit the budget; a colorability search
-        # of the triangle would need 10 tried assignments
-        cfg = ExperimentConfig(source={"kind": "complete", "m": 3, "n": 2}, trials=5, seed=1, oracle_budget=6)
+    def test_colorability_is_read_off_the_census(self, monkeypatch):
+        from hgcolor import oracle as oracle_module
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("run_experiment ran the colorability search")
+
+        monkeypatch.setattr(oracle_module, "_proper_colorings", no_search)
+        cfg = ExperimentConfig(source={"kind": "complete", "m": 3, "n": 2}, trials=5, seed=1)
         oracle = run_experiment(cfg).oracle
         assert oracle["within_budget"] is True
         assert oracle["colorable"] is False

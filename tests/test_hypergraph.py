@@ -169,6 +169,22 @@ class TestTextFormat:
             loads_hypergraph("3 1\n0 x 2\n")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("\u0665 1\n0\n", 1), ("3 1\n1_0 2\n", 2), ("3 1\n+1 2\n", 2), ("3 1\n0 1\u00a02\n", 2)],
+        ids=["arabic-indic-digit", "underscore", "plus-sign", "no-break-space"],
+    )
+    def test_tokens_are_ascii_decimal(self, text, line_no):
+        with pytest.raises(HypergraphFormatError, match="non-integer token") as exc:
+            loads_hypergraph(text)
+        assert exc.value.line_no == line_no
+
+    def test_negative_values_parse(self):
+        """A minus sign is in the grammar, so validation, not the parser,
+        rejects negative counts and indices."""
+        assert loads_hypergraph("-3 0\n") == Hypergraph(-3, [])
+        assert loads_hypergraph("3 1\n0 -1\n").edges == ((-1, 0),)
+
     def test_edge_count_mismatch(self):
         with pytest.raises(HypergraphFormatError):
             loads_hypergraph("3 2\n0 1 2\n")

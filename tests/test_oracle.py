@@ -67,7 +67,8 @@ class TestCounting:
 
 
 class TestSearchBudget:
-    """Colorability and counting share one search and its budget."""
+    """Colorability and counting share one search; all three oracles share
+    its budget, its up-front refusal and its recursion-limit refusal."""
 
     @pytest.mark.parametrize(
         "oracle, h, nodes",
@@ -87,19 +88,28 @@ class TestSearchBudget:
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             oracle(h, 2, budget=nodes - 1)
 
-    @pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings])
-    def test_search_deeper_than_the_recursion_limit_is_refused(self, oracle):
-        # r^V is within the budget, but the search nests one call per vertex
+    ORACLES = [
+        pytest.param(oracle, name, id=oracle.__name__)
+        for oracle, name in (
+            (is_r_colorable, "colorability search"),
+            (count_proper_colorings, "colorability search"),
+            (greedy_success_exact, "ordering census"),
+        )
+    ]
+
+    @pytest.mark.parametrize("oracle, name", ORACLES)
+    def test_search_deeper_than_the_recursion_limit_is_refused(self, oracle, name):
+        # r^V is within the budget, but each search nests one call per vertex
         message = re.escape(
-            "colorability search on 1200 vertices nests deeper than Python's "
+            f"{name} on 1200 vertices nests deeper than Python's "
             f"recursion limit ({sys.getrecursionlimit()}) allows"
         )
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             oracle(Hypergraph(1200, []), 2, budget=10**400)
 
-    @pytest.mark.parametrize("oracle", [is_r_colorable, count_proper_colorings])
-    def test_refused_at_once_above_32_vertices(self, oracle):
-        message = re.escape("colorability search on 40 vertices exceeds budget 10000000")
+    @pytest.mark.parametrize("oracle, name", ORACLES)
+    def test_refused_at_once_above_32_vertices(self, oracle, name):
+        message = re.escape(f"{name} on 40 vertices exceeds budget 10000000")
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             oracle(Hypergraph(40, []), 2)
 
@@ -133,14 +143,6 @@ class TestOrderingCensus:
     def test_budget_guard(self, fano):
         with pytest.raises(BudgetExceededError):
             greedy_success_exact(fano, 2, budget=100)
-
-    def test_budget_is_the_ordering_count(self, fano):
-        # the budget is checked against 7! = 5040 up front, whatever the
-        # number of partial colorings the count visits
-        message = re.escape("7! orderings exceed budget 5039")
-        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
-            greedy_success_exact(fano, 2, budget=5039)
-        assert greedy_success_exact(fano, 2, budget=5040).total_orderings == 5040
 
     def test_no_vertices(self):
         assert greedy_success_exact(Hypergraph(0, []), 2) == OrderingStatistics(1, 1)
@@ -201,17 +203,20 @@ def test_count_invariant_under_relabeling(h, rnd):
 # judged on the finished coloring by is_proper.
 
 
+def naive_free_colors(h, colors, v, r):
+    """The colors of 1..r that no edge through v blocks, given the dict of
+    colored vertices."""
+    return [
+        j
+        for j in range(1, r + 1)
+        if not any(v in e and all(colors.get(u) == j for u in e - {v}) for e in h.edge_sets)
+    ]
+
+
 def naive_greedy_is_proper(h, order, r):
     colors = {}
     for v in order:
-        free = [
-            j
-            for j in range(1, r + 1)
-            if not any(
-                v in e and all(colors.get(u) == j for u in e - {v})
-                for e in h.edge_sets
-            )
-        ]
+        free = naive_free_colors(h, colors, v, r)
         colors[v] = free[0] if free else r
     return is_proper(h, Coloring([colors[v] for v in range(h.vertex_count)], r))[0]
 
@@ -333,6 +338,54 @@ def test_budget_is_the_reference_count(h, r):
     check_budget_is_the_reference_count(h, r)
 
 
+def reference_census_tried(h, r):
+    """The ordering census's tried assignments, counted level by level: each
+    distinct partial coloring that greedy steps reach and that leaves k >= 1
+    vertices uncolored tries k greedy assignments. A step gives an uncolored
+    vertex its smallest free color; a vertex with none ends no coloring."""
+    level = {frozenset()}  # partial colorings as sets of (vertex, color)
+    tried = 0
+    for left in range(h.vertex_count, 0, -1):
+        tried += left * len(level)
+        reached = set()
+        for partial in level:
+            colors = dict(partial)
+            for v in set(range(h.vertex_count)) - colors.keys():
+                free = naive_free_colors(h, colors, v, r)
+                if free:
+                    reached.add(partial | {(v, free[0])})
+        level = reached
+    return tried
+
+
+def check_census_budget_is_the_reference_count(h, r):
+    """The census answers at budget = the reference's tried assignments, and
+    one below it raises the census's exact message."""
+    tried = reference_census_tried(h, r)
+    assert greedy_success_exact(h, r, budget=tried) == greedy_success_exact(h, r)
+    if tried:
+        message = re.escape(f"ordering census exceeded budget {tried - 1}")
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            greedy_success_exact(h, r, budget=tried - 1)
+
+
+@pytest.mark.parametrize("h,r", [pytest.param(h, r, id=name) for name, h, r in fixed_suite()])
+def test_suite_census_budget_is_the_reference_count(h, r):
+    check_census_budget_is_the_reference_count(h, r)
+
+
+@pytest.mark.parametrize("h", SMALL)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_small_census_budget_is_the_reference_count(h, r):
+    check_census_budget_is_the_reference_count(h, r)
+
+
+@given(hypergraphs(max_vertices=7, max_edges=6), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_census_budget_is_the_reference_count(h, r):
+    check_census_budget_is_the_reference_count(h, r)
+
+
 class TestOneColor:
     """r = 1 has the one coloring all ones, proper iff there is no edge."""
 
@@ -372,5 +425,4 @@ def test_budget_zero_is_a_budget():
     empty = Hypergraph(0, [])
     assert is_r_colorable(empty, 2, budget=0) == (True, Coloring((), 2))
     assert count_proper_colorings(empty, 2, budget=0) == 1
-    with pytest.raises(BudgetExceededError, match=re.escape("0! orderings exceed budget 0")):
-        greedy_success_exact(empty, 2, budget=0)
+    assert greedy_success_exact(empty, 2, budget=0) == OrderingStatistics(1, 1)
