@@ -11,11 +11,13 @@ baseline.
 That rule lives in the private edge state ``_EdgeState``: every scalar
 sweep here and the exact oracles in :mod:`hgcolor.oracle` decide blocked
 colors and update edges through it. The Monte Carlo trial engine runs
-``_succeeds_closing`` for many processing orders at once, keeping colors
-per processing position. It reads each edge once, when its last vertex is
-colored and every other vertex already has its final color; the edge
-blocks a color exactly when those colors, kept as bits, OR to that one
-color. :func:`greedy_succeeds` is its reference in the tests.
+``_succeeds_closing`` for many processing orders at once, keeping one
+color code per processing position (color c is the bit 1 << (c - 1), in
+int64 for up to 62 colors and in Python ints past that). It reads each
+edge once, when its last vertex is colored and every other vertex already
+has its final color; the edge blocks a color exactly when those codes OR
+to that one color's bit. :func:`greedy_succeeds` is its reference in the
+tests.
 """
 
 from __future__ import annotations
@@ -107,35 +109,25 @@ class _EdgeState:
             seen[ei] = c
 
 
-_WORD = 62  # colors per word of the batched sweep
-_ELSEWHERE = 1 << _WORD  # a word's code for a color in another word
-
-
-def _word_codes(colors: np.ndarray, base: int) -> np.ndarray:
-    """Codes of `colors` in the word of colors base+1 .. base+_WORD: bit
-    c-base-1 for a color c of the word, _ELSEWHERE for any other color and 0
-    for an uncolored vertex (color 0)."""
-    offset = colors - (base + 1)
-    inside = (offset >= 0) & (offset < _WORD)
-    codes = np.where(inside, 1 << offset.clip(0, _WORD - 1), _ELSEWHERE)
-    codes[colors == 0] = 0
-    return codes
+# Color c has the code 1 << (c - 1). Within a trial no color above r is
+# blocked before its first forced vertex, so the first color past r is
+# exactly r + 1, code 1 << r, which int64 holds up to r = 62. Later codes of
+# a trial that has failed may wrap, but they cannot lower that trial's max.
+# Past 62 colors the codes are Python ints in an object array.
+_INT64_COLORS = 62
 
 
 def _lowest_free(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The lowest free color bit of one word per vertex being colored.
+    """The code of the lowest free color per vertex being colored.
 
-    `codes` holds the word codes of the vertices of the edges the vertices
-    close (one column per edge, those of one vertex consecutive from its
-    entry in `starts`). The closing vertex is uncolored and every other
+    `codes` holds the codes of the vertices of the edges the vertices close
+    (one column per edge, those of one vertex consecutive from its entry in
+    `starts`). The closing vertex is uncolored (code 0) and every other
     vertex of an edge is colored, so the edge blocks a color exactly when
-    its codes OR to that color's single bit. Returns, per vertex, the lowest
-    bit that no edge blocks, or _ELSEWHERE when the word's colors are all
-    blocked.
+    its codes OR to that color's single bit.
     """
     seen = np.bitwise_or.reduce(codes, axis=0)
     blocked = np.bitwise_or.reduceat(np.where(seen & (seen - 1), 0, seen), starts)
-    blocked &= _ELSEWHERE - 1
     return ~blocked & (blocked + 1)
 
 
@@ -152,11 +144,13 @@ def _succeeds_closing(
     the sweep reads each edge once, at its closing position, with the
     entries (trial, edge) sorted by rank (the position within the trial).
     A vertex that closes no edge takes color 1, written before the sweep.
-    Colors are kept as word codes (see _word_codes) of the first word in an
-    array indexed by position; the colors of a later word are read off
-    exact colors, kept once r exceeds one word, for the vertices that find
-    the whole word blocked. An edge of one vertex blocks every color, so
-    any singleton edge fails every trial.
+    Colors are kept as codes (color c is 1 << (c - 1)) in one array
+    indexed by position, and a trial succeeds when its largest code is
+    below 1 << r. A vertex closes at most its degree of edges, so no r past
+    the largest degree forces a vertex, and r is first cut to the largest
+    degree + 1; the codes are int64 up to _INT64_COLORS colors and Python
+    ints past it. An edge of one vertex blocks every color, so any
+    singleton edge fails every trial.
     """
     trials, m = closing.shape
     v_count = h.vertex_count
@@ -164,6 +158,7 @@ def _succeeds_closing(
         return np.zeros(trials, dtype=bool)
     if not m:
         return np.ones(trials, dtype=bool)
+    r = min(r, max(map(len, h.incidence)) + 1)
     # a stable sort of 16-bit keys is a radix sort; entries closing at one
     # rank stay in (trial, edge) order
     offsets = np.arange(0, trials * v_count, v_count, dtype=np.int32)[:, None]
@@ -185,35 +180,15 @@ def _succeeds_closing(
     entry_end = np.searchsorted(rank, ranks, side="right")
     group_end = np.searchsorted(group_rank, ranks, side="right")
     local = group - np.searchsorted(rank, group_rank)
-    codes = np.ones(trials * v_count, dtype=np.int64)
+    codes = np.ones(trials * v_count, dtype=np.int64 if r <= _INT64_COLORS else object)
     codes[target] = 0
-    wide = r > _WORD
-    colors = codes.copy() if wide else None
     e0 = g0 = 0
     for e1, g1 in zip(entry_end.tolist(), group_end.tolist()):
         if g1 == g0:
             continue
         at = cells.take(entry[e0:e1], axis=1)
-        free = _lowest_free(codes.take(at), local[g0:g1])
-        codes[target[g0:g1]] = free
-        if wide:
-            # free is 2^(color - 1) within its word: read off the exponent
-            color = np.frexp(free)[1]
-            sizes = np.diff(local[g0:g1], append=e1 - e0)
-            base = 0
-            more = np.flatnonzero(free == _ELSEWHERE)
-            while more.size and base + _WORD < r:
-                base += _WORD
-                pick = np.repeat(np.isin(np.arange(g1 - g0), more), sizes)
-                starts = np.concatenate(([0], np.cumsum(sizes[more])[:-1]))
-                free = _lowest_free(_word_codes(colors.take(at[:, pick]), base), starts)
-                color[more] = base + np.frexp(free)[1]
-                more = more[free == _ELSEWHERE]
-            colors[target[g0:g1]] = color
+        codes[target[g0:g1]] = _lowest_free(codes.take(at), local[g0:g1])
         e0, g0 = e1, g1
-    if wide:
-        return colors.reshape(trials, v_count).max(axis=1) <= r
-    # color c has code 1 << (c - 1), and any color past the word _ELSEWHERE
     return codes.reshape(trials, v_count).max(axis=1) < 1 << r
 
 

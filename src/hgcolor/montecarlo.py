@@ -77,11 +77,7 @@ def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float
 def default_p(h: Hypergraph) -> float | None:
     """2 ln(n)/n for an n-uniform instance (always < 1 for n >= 2)."""
     cert = uniformity(h)
-    return None if cert is None else _default_width(cert.n)
-
-
-def _default_width(n: int) -> float:
-    return 2.0 * log(n) / n
+    return None if cert is None else 2.0 * log(cert.n) / cert.n
 
 
 @dataclass(frozen=True)
@@ -355,8 +351,8 @@ def monte_carlo(
     h.require_valid()
     check_trial_settings(r, trials, seed, p, workers, chain_ceiling)
     cert = uniformity(h)
-    if p is None and cert is not None:
-        p = _default_width(cert.n)
+    if p is None:
+        p = default_p(h)
     engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
     # reports do not depend on how the trials split, so the split follows
     # measured cost: time a first share in-process, then hand the rest to a

@@ -466,11 +466,11 @@ def test_chain_totals_past_int64_are_exact():
     assert rep.chain_ceiling_trials == 0
 
 
-@pytest.mark.parametrize("r", [62, 63, 64, 100])
+@pytest.mark.parametrize("r", [61, 62, 63, 64, 100])
 def test_success_exact_beyond_one_word_of_colors(r):
-    """The sweep stays exact when more colors are in play than one int64
-    holds: complete graphs need exactly as many colors as vertices, and K_66
-    without four edges needs 62 to 66 depending on the order."""
+    """The sweep stays exact on both sides of the int64 codes' limit of 62
+    colors: complete graphs need exactly as many colors as vertices, and
+    K_66 without four edges needs 62 to 66 depending on the order."""
     from hgcolor.greedy import greedy_succeeds
 
     pairs = [(u, v) for u in range(66) for v in range(u + 1, 66)]
@@ -486,6 +486,19 @@ def test_success_exact_beyond_one_word_of_colors(r):
         )
         rep = monte_carlo(h, r, trials, seed)
         assert rep.successes == want
+
+
+def test_colors_past_the_largest_degree_change_nothing():
+    """No vertex is forced once r passes the largest degree, so a call at
+    r = 10**12 returns, and its report is the one at the largest degree + 1
+    (the instance is not uniform, so no p sets an r-dependent span)."""
+    from dataclasses import replace
+
+    h = Hypergraph(7, [(0, 1), (0, 2, 3), (1, 2, 4), (0, 4, 5, 6), (2, 3), (0, 5)])
+    degree = max(map(len, h.incidence))
+    rep = monte_carlo(h, 10**12, 40, 13)
+    assert rep.successes == 40
+    assert replace(rep, r=degree + 1) == monte_carlo(h, degree + 1, 40, 13)
 
 
 def _success_rows(h, r, block):
@@ -543,10 +556,11 @@ def test_success_rows_beyond_16_bit_positions():
 
 
 def test_success_rows_mixing_words_in_one_edge():
-    """Past one word of colors, an edge whose other vertices have colors 1
-    and 67 blocks nothing. K_67 on vertices 0..66 gives vertex 66 color 67
-    when it comes last; vertex 67 then finds colors 1..66 blocked by its
-    pairs, and its triple (0, 66, 67) must leave it color 67."""
+    """Past the int64 codes, an edge whose other vertices have colors 1 and
+    67 (codes 1 and 1 << 66) blocks nothing. K_67 on vertices 0..66 gives
+    vertex 66 color 67 when it comes last; vertex 67 then finds colors
+    1..66 blocked by its pairs, and its triple (0, 66, 67) must leave it
+    color 67."""
     clique = [(u, v) for u in range(67) for v in range(u + 1, 67)]
     h = Hypergraph(68, clique + [(v, 67) for v in range(66)] + [(0, 66, 67)])
     block = np.random.default_rng(12).random((20, 68))
