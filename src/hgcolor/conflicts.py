@@ -17,8 +17,10 @@ link, and for j >= i + 2 all of e_i comes at or before close(e_i) <
 close(e_{i+1}) <= open(e_j): the two are disjoint. Conversely, a singleton
 {v} in the middle would be the link on both its sides, so its neighbours
 would meet at v. The Monte Carlo engine counts these walks without a meet
-test; :func:`_chains_from` and the filter over :func:`enumerate_chains`
-test disjointness directly and are its references.
+test. Its two scalar references, :func:`conflicting_chains` (the last ->
+first matches) and the filter over :func:`enumerate_chains` (every
+single-vertex meet, the scan :func:`dangerous_pairs` reads), share one
+depth-first walk, :func:`_walk_chains`, which tests disjointness directly.
 """
 
 from __future__ import annotations
@@ -88,14 +90,16 @@ def edge_length(edge: Iterable[int], t: BirthTimeAssignment) -> float:
 
 def dangerous_pairs(h: Hypergraph) -> list[tuple[int, int]]:
     """All ordered pairs of distinct edges sharing exactly one vertex."""
-    sets = h.edge_sets
-    m = len(sets)
-    out = []
-    for i in range(m):
-        for j in range(m):
-            if i != j and len(sets[i] & sets[j]) == 1:
-                out.append((i, j))
-    return out
+    return [(i, j) for i, meets in enumerate(_single_meets(h.edge_sets)) for j, _ in meets]
+
+
+def _single_meets(sets: Sequence[frozenset[int]]) -> list[list[tuple[int, int]]]:
+    """For each edge, the (edge, shared vertex) of every other edge that
+    shares exactly one vertex with it, in ascending edge order."""
+    return [
+        [(j, next(iter(a & b))) for j, b in enumerate(sets) if i != j and len(a & b) == 1]
+        for i, a in enumerate(sets)
+    ]
 
 
 def _firsts_lasts(
@@ -140,42 +144,7 @@ def enumerate_chains(
     if r < 2:
         raise ValueError(f"chains need r >= 2 edges, got {r}")
     sets = h.edge_sets
-    m = len(sets)
-    # neighbour lists restricted to |intersection| == 1, with the link vertex
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                inter = sets[i] & sets[j]
-                if len(inter) == 1:
-                    neighbours[i].append((j, next(iter(inter))))
-    count = 0
-    path = [0] * r
-    links = [0] * (r - 1)
-
-    def extend(depth: int) -> Iterator[Chain]:
-        nonlocal count
-        for (j, link) in neighbours[path[depth - 1]]:
-            ok = True
-            for k in range(depth - 1):
-                if path[k] == j or sets[path[k]] & sets[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            path[depth] = j
-            links[depth - 1] = link
-            if depth == r - 1:
-                count += 1
-                if count > ceiling:
-                    raise ChainCeilingError(ceiling)
-                yield Chain(tuple(path), tuple(links))
-            else:
-                yield from extend(depth + 1)
-
-    for start in range(m):
-        path[0] = start
-        yield from extend(1)
+    yield from _walk_chains(sets, _single_meets(sets), r, ceiling)
 
 
 def conflicting_chains(
@@ -193,52 +162,45 @@ def conflicting_chains(
     if r < 2:
         raise ValueError(f"chains need r >= 2 edges, got {r}")
     firsts, lasts = _firsts_lasts(h.edges, t.times)
-    return _chains_from(h.edge_sets, firsts, lasts, r, ceiling)
-
-
-def _chains_from(
-    sets: Sequence[frozenset[int]],
-    firsts: Sequence[int],
-    lasts: Sequence[int],
-    r: int,
-    ceiling: int,
-) -> list[Chain]:
-    """The conflicting r-chains given each edge's first and last vertex."""
     by_first: dict[int, list[int]] = {}
-    for fi, v in enumerate(firsts):
-        by_first.setdefault(v, []).append(fi)
-    out: list[Chain] = []
+    for j, v in enumerate(firsts):
+        by_first.setdefault(v, []).append(j)
+    # i and j share only v: a second shared vertex would come before
+    # last(i) = v and after first(j) = v in the (time, index) order
+    nexts = [[(j, v) for j in by_first.get(v, ()) if j != i] for i, v in enumerate(lasts)]
+    return list(_walk_chains(h.edge_sets, nexts, r, ceiling))
+
+
+def _walk_chains(
+    sets: Sequence[frozenset[int]], nexts: list[list[tuple[int, int]]], r: int, ceiling: int
+) -> Iterator[Chain]:
+    """Every r-chain whose steps are taken from `nexts`: `nexts[e]` lists
+    (edge, link) pairs of edges that meet e in the link alone, and a chain
+    ending in e grows by one of them when the new edge is disjoint from
+    every earlier edge but e. Raises ChainCeilingError on the chain past
+    `ceiling`."""
+    count = 0
     path = [0] * r
     links = [0] * (r - 1)
 
-    def extend(depth: int) -> None:
-        prev = path[depth - 1]
-        v = lasts[prev]
-        # prev and j share only v: a second shared vertex would come before
-        # last(prev) = v and after first(j) = v in the (time, index) order
-        for j in by_first.get(v, ()):
-            if j == prev:
-                continue
-            ok = True
-            for k in range(depth - 1):
-                if path[k] == j or sets[path[k]] & sets[j]:
-                    ok = False
-                    break
-            if not ok:
+    def extend(depth: int) -> Iterator[Chain]:
+        nonlocal count
+        for j, link in nexts[path[depth - 1]]:
+            if any(path[k] == j or sets[path[k]] & sets[j] for k in range(depth - 1)):
                 continue
             path[depth] = j
-            links[depth - 1] = v
-            if depth == r - 1:
-                if len(out) >= ceiling:
-                    raise ChainCeilingError(ceiling)
-                out.append(Chain(tuple(path), tuple(links)))
-            else:
-                extend(depth + 1)
+            links[depth - 1] = link
+            if depth < r - 1:
+                yield from extend(depth + 1)
+                continue
+            count += 1
+            if count > ceiling:
+                raise ChainCeilingError(ceiling)
+            yield Chain(tuple(path), tuple(links))
 
     for start in range(len(sets)):
         path[0] = start
-        extend(1)
-    return out
+        yield from extend(1)
 
 
 def short_edges(

@@ -346,14 +346,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     n, r, p = mc.uniformity_n, config.r, mc.p
     bound_sec = BoundSection(None, None, None, None, None, mc.mean_short_edges, mc.mean_conflicting_pairs)
     if n is not None and p is not None and h.edge_count:
-        k = h.edge_count / (2.0 ** (n - 1) if r == 2 else r ** (n - 2))
-        opt = bounds.optimize_p(k, n) if r == 2 else None
+        # exact integer division, which cannot overflow; where k rounds to
+        # 0.0 the bounds it feeds stay null, like a failed bound_table cell
+        k = h.edge_count / (2 ** (n - 1) if r == 2 else r ** (n - 2))
+        opt = bounds.optimize_p(k, n) if r == 2 and k else None
         bound_sec = BoundSection(
             k_coefficient=k,
             best_p=opt.best_p if opt else None,
             two_color_bound=opt.best_value if opt else None,
-            expected_short_edges=bounds.expected_short_edges(k, n, r, p),
-            expected_conflicting_chains=bounds.expected_conflicting_chains(k, n, r, p),
+            expected_short_edges=bounds.expected_short_edges(k, n, r, p) if k else None,
+            expected_conflicting_chains=bounds.expected_conflicting_chains(k, n, r, p) if k else None,
             empirical_mean_short=mc.mean_short_edges,
             empirical_mean_pairs=mc.mean_conflicting_pairs,
         )

@@ -10,13 +10,9 @@ baseline.
 
 That rule lives in the private edge state ``_EdgeState``: every scalar
 sweep here and the exact oracles in :mod:`hgcolor.oracle` decide blocked
-colors and update edges through it. The Monte Carlo trial engine runs
-``_succeeds_closing`` for many processing orders at once, keeping one
-color code per processing position (color c is the bit 1 << (c - 1), in
-int64 for up to 62 colors and in Python ints past that). It reads each
-edge once, when its last vertex is colored and every other vertex already
-has its final color; the edge blocks a color exactly when those codes OR
-to that one color's bit. :func:`greedy_succeeds` is its reference in the
+colors and update edges through it. The Monte Carlo trial engine
+(:mod:`hgcolor.montecarlo`) runs its own batched sweep over many
+processing orders at once; :func:`greedy_succeeds` is its reference in the
 tests.
 """
 
@@ -107,89 +103,6 @@ class _EdgeState:
         for ei, c in zip(self.incidence[v], saved):
             left[ei] += 1
             seen[ei] = c
-
-
-# Color c has the code 1 << (c - 1). Within a trial no color above r is
-# blocked before its first forced vertex, so the first color past r is
-# exactly r + 1, code 1 << r, which int64 holds up to r = 62. Later codes of
-# a trial that has failed may wrap, but they cannot lower that trial's max.
-# Past 62 colors the codes are Python ints in an object array.
-_INT64_COLORS = 62
-
-
-def _lowest_free(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The code of the lowest free color per vertex being colored.
-
-    `codes` holds the codes of the vertices of the edges the vertices close
-    (one column per edge, those of one vertex consecutive from its entry in
-    `starts`). The closing vertex is uncolored (code 0) and every other
-    vertex of an edge is colored, so the edge blocks a color exactly when
-    its codes OR to that color's single bit.
-    """
-    seen = np.bitwise_or.reduce(codes, axis=0)
-    blocked = np.bitwise_or.reduceat(np.where(seen & (seen - 1), 0, seen), starts)
-    return ~blocked & (blocked + 1)
-
-
-def _succeeds_closing(
-    h: Hypergraph, edge_pos: np.ndarray, closing: np.ndarray, r: int
-) -> np.ndarray:
-    """greedy_succeeds for many processing orders at once, given the
-    positions (trial i's k-th vertex is at i * V + k) of every edge's
-    vertices, one (trials x edges) layer per edge matrix column, and
-    their largest, the closing positions.
-
-    A color is blocked for a vertex only through an edge that the vertex
-    closes, and then every other vertex of the edge has its final color. So
-    the sweep reads each edge once, at its closing position, with the
-    entries (trial, edge) sorted by rank (the position within the trial).
-    A vertex that closes no edge takes color 1, written before the sweep.
-    Colors are kept as codes (color c is 1 << (c - 1)) in one array
-    indexed by position, and a trial succeeds when its largest code is
-    below 1 << r. A vertex closes at most its degree of edges, so no r past
-    the largest degree forces a vertex, and r is first cut to the largest
-    degree + 1; the codes are int64 up to _INT64_COLORS colors and Python
-    ints past it. An edge of one vertex blocks every color, so any
-    singleton edge fails every trial.
-    """
-    trials, m = closing.shape
-    v_count = h.vertex_count
-    if 1 in h.edge_sizes:
-        return np.zeros(trials, dtype=bool)
-    if not m:
-        return np.ones(trials, dtype=bool)
-    r = min(r, max(map(len, h.incidence)) + 1)
-    # a stable sort of 16-bit keys is a radix sort; entries closing at one
-    # rank stay in (trial, edge) order
-    offsets = np.arange(0, trials * v_count, v_count, dtype=np.int32)[:, None]
-    keys = (closing - offsets).astype(np.int16 if v_count <= 1 << 15 else np.int32).ravel()
-    entry = np.argsort(keys, kind="stable")
-    rank, at_closing = keys[entry], closing.ravel()[entry]
-    # column i * m + e: the positions of edge e's vertices in trial i, where
-    # they keep their codes (taken per rank below, so no sorted copy of the
-    # whole batch is made)
-    cells = edge_pos.reshape(len(edge_pos), -1)
-    # one group of entries per vertex being colored, at its closing position
-    first = np.ones(len(entry), dtype=bool)
-    first[1:] = at_closing[1:] != at_closing[:-1]
-    group = np.flatnonzero(first)
-    target, group_rank = at_closing[group], rank[group]
-    # where each rank's entries and groups end, and each group's first
-    # entry counted from its rank's first
-    ranks = np.arange(v_count, dtype=rank.dtype)
-    entry_end = np.searchsorted(rank, ranks, side="right")
-    group_end = np.searchsorted(group_rank, ranks, side="right")
-    local = group - np.searchsorted(rank, group_rank)
-    codes = np.ones(trials * v_count, dtype=np.int64 if r <= _INT64_COLORS else object)
-    codes[target] = 0
-    e0 = g0 = 0
-    for e1, g1 in zip(entry_end.tolist(), group_end.tolist()):
-        if g1 == g0:
-            continue
-        at = cells.take(entry[e0:e1], axis=1)
-        codes[target[g0:g1]] = _lowest_free(codes.take(at), local[g0:g1])
-        e0, g0 = e1, g1
-    return codes.reshape(trials, v_count).max(axis=1) < 1 << r
 
 
 def _first_free(blocked: int) -> int:

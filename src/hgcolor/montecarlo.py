@@ -12,17 +12,17 @@ processing positions: trial i's k-th vertex in birth-time order sits at
 position i * V + k. One gather per batch gives the positions of every
 edge's vertices; their least and greatest are the edge's opening and
 closing positions, the places of its first and last vertex. The greedy
-sweep (:func:`hgcolor.greedy._succeeds_closing`) reads each edge once, at
-its closing position, in entries sorted by rank: the closing vertex's
-blocked colors are those its closed edges show as their only color. Spans
+sweep (:meth:`_TrialEngine._succeeds`) reads each edge once, at its
+closing position, in entries sorted by rank: the closing vertex's blocked
+colors are those its closed edges show as their only color. Spans
 and B/P/R read the birth times in processing order, and pairs meet where
 one edge closes and another opens. Conflicting chains are walks that
 continue where their last edge closes with an edge that opens there
-(:meth:`_TrialEngine._chains`, a per-position sum per step, at every r);
-the pair count is its first step. Each trial's counts are the columns
-named by :class:`_Column`. :func:`hgcolor.greedy.greedy_succeeds` and the
-per-assignment functions of :mod:`hgcolor.conflicts` are their references
-in the tests. Pairs are counted in every trial, short edges whenever there
+(:meth:`_TrialEngine._chains`, a per-position sum per step, at every r,
+until no walk is left); the pair count is its first step. Each trial's
+counts are the columns named by :class:`_Column`.
+:func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions
+of :mod:`hgcolor.conflicts` are their references in the tests. Pairs are counted in every trial, short edges whenever there
 is a p, B/P/R when there is a p and r = 2, and chains on request. A batch
 is capped by a fixed element budget, so memory does not grow with the
 trial count, and reports do not depend on how trials split into batches.
@@ -32,7 +32,8 @@ trials into contiguous ranges. With one worker it runs them all in-process.
 With more, it times a first share in-process and starts a pool for the rest
 only if the pool would save more time than the last pool in this process
 took to start and stop; each pool worker gets a pickled copy of the
-parent's engine and one range.
+parent's engine, which holds the arrays its batches read and not the
+hypergraph, and one range.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition
 from .errors import NumericRangeError
-from .greedy import _succeeds_closing, equitable_partition_color
+from .greedy import equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
 
 # the standard normal quantiles at 0.975 and 0.995 (scipy's ndtri, to the bit)
@@ -143,8 +144,17 @@ class _Column(IntEnum):
     CEILING = 7  # 1 when the chain count passed the ceiling
 
 
+# Color c has the code 1 << (c - 1). Within a trial no color above r is
+# blocked before its first forced vertex, so the first color past r is
+# exactly r + 1, code 1 << r, which int64 holds up to r = 62. Later codes of
+# a trial that has failed may wrap, but they cannot lower that trial's max.
+# Past 62 colors the codes are Python ints in an object array.
+_INT64_COLORS = 62
+
+
 class _TrialEngine:
-    """Per-hypergraph precomputation for batches of trials."""
+    """Per-hypergraph precomputation for batches of trials: the arrays the
+    batches read, not the hypergraph, so pool workers receive little."""
 
     def __init__(
         self,
@@ -154,7 +164,6 @@ class _TrialEngine:
         count_chains: bool,
         chain_ceiling: int,
     ):
-        self.h = h
         self.r = r
         self.count_chains = count_chains
         self.chain_ceiling = chain_ceiling
@@ -174,6 +183,22 @@ class _TrialEngine:
         self.columns = np.ascontiguousarray(h.edge_matrix.T)
         per_trial = max(h.edge_matrix.size, self.v_count, 1)
         self.batch = max(1, _BATCH_ELEMENTS // per_trial)
+        # the sweep's outcome where none is needed: an edge of one vertex
+        # blocks every color, and with no edges nothing is blocked
+        self.verdict = None
+        if self.singleton_edges.any():
+            self.verdict = False
+        elif not h.edge_count:
+            self.verdict = True
+        # a vertex closes at most its degree of edges, so no color past the
+        # largest degree + 1 is taken: a trial succeeds when its codes stay
+        # below 1 << colors
+        colors = min(r, max(map(len, h.incidence), default=0) + 1)
+        self.code_type = np.int64 if colors <= _INT64_COLORS else object
+        self.code_limit = 1 << colors
+        # the ranks within a trial, as 16-bit sort keys where they fit
+        key_type = np.int16 if self.v_count <= 1 << 15 else np.int32
+        self.ranks = np.arange(self.v_count, dtype=key_type)
 
     def run(self, times: np.ndarray) -> np.ndarray:
         """Trials given as rows of birth times (trials x vertices): one row
@@ -186,14 +211,16 @@ class _TrialEngine:
         # most max(_BATCH_ELEMENTS, V) of them), and flat[k] is the flat
         # index (trial * V + vertex) of the vertex at position k
         size = trials * v_count
-        flat = (orders + np.arange(0, size, v_count)[:, None]).ravel()
+        offsets = np.arange(0, size, v_count, dtype=np.int32)[:, None]
+        flat = (orders + offsets).ravel()
         position = np.empty(size, dtype=np.int32)
         position[flat] = np.arange(size, dtype=np.int32)
         position = position.reshape(trials, v_count)
         # one (trials x edges) layer of positions per edge matrix column;
         # the columns hold vertex ids of a valid instance, so take may
         # write to `out` unbuffered ("clip")
-        edge_pos = np.empty((len(self.columns), trials, self.h.edge_count), dtype=np.int32)
+        width, m = self.columns.shape
+        edge_pos = np.empty((width, trials, m), dtype=np.int32)
         for layer, column in zip(edge_pos, self.columns):
             position.take(column, axis=1, out=layer, mode="clip")
         # an edge's first and last vertex hold its least and greatest
@@ -201,7 +228,7 @@ class _TrialEngine:
         # a defined empty reduction)
         opening = edge_pos.min(axis=0, initial=size)
         closing = edge_pos.max(axis=0, initial=0)
-        out[:, _Column.SUCCESS] = _succeeds_closing(self.h, edge_pos, closing, self.r)
+        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, offsets)
         del edge_pos  # the batch's largest array; free before the chain walks
         sorted_times = times.ravel().take(flat)
         if self.short_threshold is not None:
@@ -223,6 +250,57 @@ class _TrialEngine:
         if self.count_chains:
             out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(n_close, opening, closing)
         return out
+
+    def _succeeds(
+        self, edge_pos: np.ndarray, closing: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray | bool:
+        """greedy_succeeds for each trial of a batch, given run's positions of
+        every edge's vertices, their largest and each trial's first position.
+
+        A color is blocked for a vertex only through an edge that the vertex
+        closes, and then every other vertex of the edge has its final color. So
+        the sweep reads each edge once, at its closing position, with the
+        entries (trial, edge) sorted by rank (the position within the trial).
+        A vertex that closes no edge takes color 1, written before the sweep.
+        Colors are kept as codes in one array indexed by position, and a
+        trial succeeds when its largest code is below `code_limit`.
+        """
+        if self.verdict is not None:
+            return self.verdict
+        trials = len(closing)
+        # a stable sort of 16-bit keys is a radix sort; entries closing at one
+        # rank stay in (trial, edge) order
+        keys = (closing - offsets).astype(self.ranks.dtype).ravel()
+        entry = np.argsort(keys, kind="stable")
+        rank, at_closing = keys[entry], closing.ravel()[entry]
+        # column i * m + e: the positions of edge e's vertices in trial i, where
+        # they keep their codes (taken per rank below, so no sorted copy of the
+        # whole batch is made)
+        cells = edge_pos.reshape(len(edge_pos), -1)
+        # one group of entries per vertex being colored, at its closing position
+        first = np.ones(len(entry), dtype=bool)
+        first[1:] = at_closing[1:] != at_closing[:-1]
+        group = np.flatnonzero(first)
+        target, group_rank = at_closing[group], rank[group]
+        # where each rank's entries and groups end, and each group's first
+        # entry counted from its rank's first
+        entry_end = np.searchsorted(rank, self.ranks, side="right")
+        group_end = np.searchsorted(group_rank, self.ranks, side="right")
+        local = group - np.searchsorted(rank, group_rank)
+        codes = np.ones(trials * self.v_count, dtype=self.code_type)
+        codes[target] = 0
+        e0 = g0 = 0
+        for e1, g1 in zip(entry_end.tolist(), group_end.tolist()):
+            if g1 == g0:
+                continue
+            # the closing vertex is uncolored (code 0) and every other vertex
+            # of its edges colored, so an edge blocks a color exactly when
+            # its codes OR to that color's single bit
+            seen = np.bitwise_or.reduce(codes.take(cells.take(entry[e0:e1], axis=1)), axis=0)
+            blocked = np.bitwise_or.reduceat(np.where(seen & (seen - 1), 0, seen), local[g0:g1])
+            codes[target[g0:g1]] = ~blocked & (blocked + 1)  # the lowest free color
+            e0, g0 = e1, g1
+        return codes.reshape(trials, self.v_count).max(axis=1) < self.code_limit
 
     def _chains(self, n_close: np.ndarray, opening: np.ndarray, closing: np.ndarray):
         """Each row's conflicting r-chain count and whether it passes the
@@ -247,6 +325,8 @@ class _TrialEngine:
             last, walks = walks, at.take(opening)
             if step < self.r:
                 walks[:, self.singleton_edges] = 0
+                if not walks.any():
+                    break
             else:
                 walks[:, self.singleton_edges] -= last[:, self.singleton_edges]
             np.minimum(walks, cap, out=walks)

@@ -54,7 +54,9 @@ def _budgeted(name: str, h: Hypergraph, r: int, budget: int) -> Iterator[str]:
     recursion limit (each search nests one call per vertex)."""
     check_budget(budget)
     v_count = h.vertex_count
-    if v_count > 32 and r**v_count > budget:
+    # r^V > budget without building r^V: at r >= 2 the exponent
+    # bit_length + 1 already passes the budget
+    if v_count > 32 and r ** min(v_count, budget.bit_length() + 1) > budget:
         raise BudgetExceededError(f"{name} on {v_count} vertices exceeds budget {budget}")
     try:
         yield f"{name} exceeded budget {budget}"

@@ -368,6 +368,16 @@ class TestExperiment:
         assert report["mc"]["successes"] == 0
         assert (outdir / "report.csv").exists()
 
+    @pytest.mark.parametrize("n, r", [(1025, 2), (700, 3)])
+    def test_wide_uniform_instance(self, tmp_path, capsys, n, r):
+        inst = tmp_path / "c.hg"
+        run(capsys, "gen", "complete", "--m", str(n), "--n", str(n), "--out", str(inst))
+        outdir = tmp_path / "exp"
+        code, _, err = run(capsys, "experiment", "--in", str(inst), "--r", str(r), "--no-oracle",
+                           "--trials", "5", "--out", str(outdir))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads((outdir / "report.json").read_text())["bounds"]["k_coefficient"] is not None
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

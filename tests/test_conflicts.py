@@ -112,9 +112,26 @@ class TestEnumerateChains:
         # every two Fano lines meet, so no 3-chain can exist
         assert list(enumerate_chains(fano, 3)) == []
 
-    def test_ceiling_is_loud(self, fano):
+    @pytest.mark.parametrize(
+        "chains, c",
+        [
+            pytest.param(lambda h, ceiling: list(enumerate_chains(h, 2, ceiling)), 42, id="enumerate"),
+            # this order makes 2 of Fano's 42 dangerous pairs conflicting
+            pytest.param(
+                lambda h, ceiling: conflicting_chains(
+                    h, BirthTimeAssignment([0.0, 0.1, 0.2, 0.4, 0.5, 0.3, 0.6]), 2, ceiling
+                ),
+                2,
+                id="conflicting",
+            ),
+        ],
+    )
+    def test_ceiling_is_loud(self, fano, chains, c):
+        """Both scalar references walk chains the same way and share its
+        ceiling rule: all c chains at ceiling c, a ChainCeilingError at c - 1."""
+        assert len(chains(fano, c)) == c
         with pytest.raises(ChainCeilingError):
-            list(enumerate_chains(fano, 2, ceiling=10))
+            chains(fano, c - 1)
 
     def test_no_duplicates(self, triangle):
         chains = [tuple(c.edges) for c in enumerate_chains(triangle, 2)]

@@ -190,6 +190,27 @@ class TestRunExperiment:
         cfg = ExperimentConfig(source={"kind": "file", "path": str(path)}, r=r, trials=5, seed=1)
         assert run_experiment(cfg).oracle["colorable"] == is_r_colorable(h, r)[0]
 
+    @pytest.mark.parametrize("n, r", [(1025, 2), (1100, 2), (700, 3)])
+    def test_wide_uniform_instance(self, n, r):
+        """One n-edge on n vertices: k = 1 / 2^(n-1) at r = 2 (2.0^(n-1)
+        overflows a float from n = 1025) and 1 / r^(n-2) at r >= 3, exact
+        integer divisions. Where k is still a positive float the bounds are
+        computed; where it rounds to 0.0 the bounds it feeds stay null."""
+        cfg = ExperimentConfig(
+            source={"kind": "complete", "m": n, "n": n}, r=r, trials=5, seed=1, run_oracle=False
+        )
+        report = run_experiment(cfg)
+        bounds = report.bounds
+        k = 1 / (2 ** (n - 1) if r == 2 else r ** (n - 2))
+        assert bounds["k_coefficient"] == k
+        assert report.mc["successes"] == 5 and not report.invariant_violations
+        fed = ("best_p", "two_color_bound", "expected_short_edges", "expected_conflicting_chains")
+        if k:
+            assert bounds["expected_short_edges"] > 0
+            assert all(bounds[f] is not None for f in fed)
+        else:
+            assert all(bounds[f] is None for f in fed)
+
 
 class TestBoundTable:
     def test_cells_satisfy_defining_inequalities(self):

@@ -7,6 +7,7 @@ from hgcolor import (
     Hypergraph,
     baseline_equitable_success,
     gen_complete_uniform,
+    gen_fano,
     gen_random_uniform,
     monte_carlo,
     montecarlo,
@@ -499,6 +500,21 @@ def test_colors_past_the_largest_degree_change_nothing():
     rep = monte_carlo(h, 10**12, 40, 13)
     assert rep.successes == 40
     assert replace(rep, r=degree + 1) == monte_carlo(h, degree + 1, 40, 13)
+
+
+@pytest.mark.parametrize("r, chains", [(10, 1), (11, 0), (10**12, 0)])
+def test_chain_walks_stop_once_none_is_left(r, chains):
+    """Closing positions rise along a walk, so no walk has more than V
+    edges and the chain count at r = 10**12 is 0 at once; on a path of ten
+    2-edges colored in path order the one 10-chain is still counted."""
+    from hgcolor.montecarlo import _Column, _TrialEngine
+
+    h = Hypergraph(11, [(v, v + 1) for v in range(10)])
+    engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=10**7)
+    block = np.linspace(0.0, 1.0, 11)[None, :]
+    assert engine.run(block)[:, _Column.CHAINS].tolist() == [chains]
+    rep = monte_carlo(gen_fano(), r, 2000, 1, count_chains=True)
+    assert rep.total_conflicting_chains == 0 and rep.chain_ceiling_trials == 0
 
 
 def _success_rows(h, r, block):

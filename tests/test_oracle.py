@@ -113,6 +113,13 @@ class TestSearchBudget:
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             oracle(Hypergraph(40, []), 2)
 
+    @pytest.mark.parametrize("oracle, name", ORACLES)
+    def test_refused_without_building_r_to_the_v(self, oracle, name):
+        # 3^(10^8) alone would take minutes to build
+        message = re.escape(f"{name} on 100000000 vertices exceeds budget 10000000")
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            oracle(Hypergraph(10**8, []), 3)
+
 
 class TestOrderingCensus:
     def test_single_edge_always_succeeds(self):
