@@ -16,11 +16,17 @@ edge opens strictly before it closes, so e_i and e_{i+1} share only their
 link, and for j >= i + 2 all of e_i comes at or before close(e_i) <
 close(e_{i+1}) <= open(e_j): the two are disjoint. Conversely, a singleton
 {v} in the middle would be the link on both its sides, so its neighbours
-would meet at v. The Monte Carlo engine counts these walks without a meet
-test. Its two scalar references, :func:`conflicting_chains` (the last ->
-first matches) and the filter over :func:`enumerate_chains` (every
-single-vertex meet, the scan :func:`dangerous_pairs` reads), share one
-depth-first walk, :func:`_walk_chains`, which tests disjointness directly.
+would meet at v. A failed greedy run has such a walk: on an instance with
+no singleton edge, the first vertex found with every color 1..r blocked
+closes an edge e_r whose other vertices all have color r. The first of
+them took r with r - 1 blocked, so it closes an edge e_{r-1} whose other
+vertices have color r - 1, and so on down to e_1: a conflicting r-chain.
+The Monte Carlo engine counts these walks without a meet test, and
+sweeps only the trials that have one. Its two scalar references,
+:func:`conflicting_chains` (the last -> first matches) and the filter over
+:func:`enumerate_chains` (every single-vertex meet, the scan
+:func:`dangerous_pairs` reads), share one depth-first walk,
+:func:`_walk_chains`, which tests disjointness directly.
 """
 
 from __future__ import annotations
@@ -179,6 +185,8 @@ def _walk_chains(
     ending in e grows by one of them when the new edge is disjoint from
     every earlier edge but e. Raises ChainCeilingError on the chain past
     `ceiling`."""
+    if r > len(sets):  # a chain's r edges are distinct
+        return
     count = 0
     path = [0] * r
     links = [0] * (r - 1)

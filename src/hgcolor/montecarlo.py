@@ -11,18 +11,22 @@ times, row i still drawn from (master seed, i). The engine works in
 processing positions: trial i's k-th vertex in birth-time order sits at
 position i * V + k. One gather per batch gives the positions of every
 edge's vertices; their least and greatest are the edge's opening and
-closing positions, the places of its first and last vertex. The greedy
+closing positions, the places of its first and last vertex. Spans and
+B/P/R read the birth times in processing order, and pairs meet where one
+edge closes and another opens. Conflicting chains are walks that continue
+where their last edge closes with an edge that opens there
+(:meth:`_TrialEngine._chains`, a per-position sum per step, at every r,
+until no walk is left); the pair count is its first step. The greedy
 sweep (:meth:`_TrialEngine._succeeds`) reads each edge once, at its
 closing position, in entries sorted by rank: the closing vertex's blocked
-colors are those its closed edges show as their only color. Spans
-and B/P/R read the birth times in processing order, and pairs meet where
-one edge closes and another opens. Conflicting chains are walks that
-continue where their last edge closes with an edge that opens there
-(:meth:`_TrialEngine._chains`, a per-position sum per step, at every r,
-until no walk is left); the pair count is its first step. Each trial's
-counts are the columns named by :class:`_Column`.
-:func:`hgcolor.greedy.greedy_succeeds` and the per-assignment functions
-of :mod:`hgcolor.conflicts` are their references in the tests. Pairs are counted in every trial, short edges whenever there
+colors are those its closed edges show as their only color. It runs only
+on the trials with a pair, or with a conflicting r-chain when chains are
+counted: by the lemma in :mod:`hgcolor.conflicts`, on an instance with no
+singleton edge a trial that fails has a conflicting r-chain, and every
+other trial succeeds. Each trial's counts are the columns named by
+:class:`_Column`. :func:`hgcolor.greedy.greedy_succeeds` and the
+per-assignment functions of :mod:`hgcolor.conflicts` are their references
+in the tests. Pairs are counted in every trial, short edges whenever there
 is a p, B/P/R when there is a p and r = 2, and chains on request. A batch
 is capped by a fixed element budget, so memory does not grow with the
 trial count, and reports do not depend on how trials split into batches.
@@ -211,7 +215,7 @@ class _TrialEngine:
         # most max(_BATCH_ELEMENTS, V) of them), and flat[k] is the flat
         # index (trial * V + vertex) of the vertex at position k
         size = trials * v_count
-        offsets = np.arange(0, size, v_count, dtype=np.int32)[:, None]
+        offsets = np.arange(trials, dtype=np.int32)[:, None] * v_count
         flat = (orders + offsets).ravel()
         position = np.empty(size, dtype=np.int32)
         position[flat] = np.arange(size, dtype=np.int32)
@@ -228,12 +232,6 @@ class _TrialEngine:
         # a defined empty reduction)
         opening = edge_pos.min(axis=0, initial=size)
         closing = edge_pos.max(axis=0, initial=0)
-        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, offsets)
-        del edge_pos  # the batch's largest array; free before the chain walks
-        sorted_times = times.ravel().take(flat)
-        if self.short_threshold is not None:
-            span = sorted_times.take(closing) - sorted_times.take(opening)
-            out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
         # pairs meeting at a position: (edges closing there) x (edges
         # opening there), less the singleton edges there
         n_open = np.bincount(opening.ravel(), minlength=size)
@@ -241,22 +239,38 @@ class _TrialEngine:
         n_single = np.bincount(opening[:, self.singleton_edges].ravel(), minlength=size)
         here = (n_open * n_close - n_single).reshape(trials, v_count)
         out[:, _Column.PAIRS] = here.sum(axis=1)
+        # a row can fail only with a conflicting r-chain, whose first step
+        # is a pair; a flagged row has more chains than the ceiling
+        if self.count_chains:
+            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(n_close, opening, closing)
+            can_fail = out[:, _Column.CHAINS] | out[:, _Column.CEILING]
+        else:
+            can_fail = out[:, _Column.PAIRS]
+        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, offsets, np.flatnonzero(can_fail))
+        del edge_pos  # the batch's largest array; free before the spans
+        sorted_times = times.ravel().take(flat)
+        if self.short_threshold is not None:
+            span = sorted_times.take(closing) - sorted_times.take(opening)
+            out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
         if self.part_lo is not None:
             sorted_times = sorted_times.reshape(trials, v_count)
             below = sorted_times < self.part_lo
             out[:, _Column.B] = (here * below).sum(axis=1)
             out[:, _Column.P_MID] = (here * (~below & (sorted_times < self.part_hi))).sum(axis=1)
             out[:, _Column.R_INT] = (here * (sorted_times >= self.part_hi)).sum(axis=1)
-        if self.count_chains:
-            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(n_close, opening, closing)
         return out
 
     def _succeeds(
-        self, edge_pos: np.ndarray, closing: np.ndarray, offsets: np.ndarray
+        self, edge_pos: np.ndarray, closing: np.ndarray, offsets: np.ndarray, rows: np.ndarray
     ) -> np.ndarray | bool:
         """greedy_succeeds for each trial of a batch, given run's positions of
-        every edge's vertices, their largest and each trial's first position.
+        every edge's vertices, their largest, each trial's first position and
+        the rows that can fail.
 
+        On an instance with no singleton edge a failed row has a conflicting
+        r-chain (the lemma in :mod:`hgcolor.conflicts`), so every row outside
+        `rows` succeeds and only `rows` are swept; `verdict` decides the
+        instances with a singleton edge or none, before any row is read.
         A color is blocked for a vertex only through an edge that the vertex
         closes, and then every other vertex of the edge has its final color. So
         the sweep reads each edge once, at its closing position, with the
@@ -267,12 +281,15 @@ class _TrialEngine:
         """
         if self.verdict is not None:
             return self.verdict
-        trials = len(closing)
+        trials, m = closing.shape
         # a stable sort of 16-bit keys is a radix sort; entries closing at one
-        # rank stay in (trial, edge) order
-        keys = (closing - offsets).astype(self.ranks.dtype).ravel()
-        entry = np.argsort(keys, kind="stable")
-        rank, at_closing = keys[entry], closing.ravel()[entry]
+        # rank stay in (trial, edge) order. Entries are flat (trial * m + edge)
+        # indices of the whole batch, so the gather is read in place
+        keys = (closing[rows] - offsets[rows]).astype(self.ranks.dtype).ravel()
+        order = np.argsort(keys, kind="stable")
+        rank = keys[order]
+        entry = (rows[:, None] * m + np.arange(m)).ravel()[order]
+        at_closing = closing.ravel()[entry]
         # column i * m + e: the positions of edge e's vertices in trial i, where
         # they keep their codes (taken per rank below, so no sorted copy of the
         # whole batch is made)
@@ -300,7 +317,9 @@ class _TrialEngine:
             blocked = np.bitwise_or.reduceat(np.where(seen & (seen - 1), 0, seen), local[g0:g1])
             codes[target[g0:g1]] = ~blocked & (blocked + 1)  # the lowest free color
             e0, g0 = e1, g1
-        return codes.reshape(trials, self.v_count).max(axis=1) < self.code_limit
+        success = np.ones(trials, dtype=bool)
+        success[rows] = codes.reshape(trials, self.v_count)[rows].max(axis=1) < self.code_limit
+        return success
 
     def _chains(self, n_close: np.ndarray, opening: np.ndarray, closing: np.ndarray):
         """Each row's conflicting r-chain count and whether it passes the

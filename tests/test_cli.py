@@ -77,6 +77,15 @@ class TestMc:
         assert out == ""
 
 
+    @pytest.mark.parametrize("command", ["mc", "experiment"])
+    def test_instance_without_vertices(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.hg"
+        path.write_text("0 0\n")
+        code, _, err = run(capsys, command, "--in", str(path), "--trials", "5", "--seed", "1",
+                           "--out", str(tmp_path / "o"))
+        assert (code, err) == (EXIT_OK, "")
+
+
 class TestOracle:
     def test_fano(self, tmp_path, capsys):
         path = tmp_path / "f.hg"

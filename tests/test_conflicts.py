@@ -133,6 +133,14 @@ class TestEnumerateChains:
         with pytest.raises(ChainCeilingError):
             chains(fano, c - 1)
 
+    def test_more_edges_than_the_instance_holds(self, fano):
+        """A chain's edges are distinct, so none has more than m of them;
+        both references answer at once, as the trial engine does."""
+        t = BirthTimeAssignment([0.0, 0.1, 0.2, 0.4, 0.5, 0.3, 0.6])
+        assert list(enumerate_chains(fano, 8)) == []
+        assert list(enumerate_chains(fano, 10**12)) == []
+        assert conflicting_chains(fano, t, 10**12) == []
+
     def test_no_duplicates(self, triangle):
         chains = [tuple(c.edges) for c in enumerate_chains(triangle, 2)]
         assert len(chains) == len(set(chains))

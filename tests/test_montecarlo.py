@@ -261,7 +261,8 @@ def _reference_row(h, times, r, p, ceiling):
 def test_batch_rows_match_scalar_references():
     """Every row of a batch equals the scalar references (ties, singleton
     edges, isolated vertices, no edges and mixed edge sizes all come from
-    the strategy)."""
+    the strategy), with chains counted (the sweep then runs on the rows
+    with a chain or a flag) and without (on the rows with a pair)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -276,9 +277,10 @@ def test_batch_rows_match_scalar_references():
         st.data(),
         st.sampled_from([2, 3, 4, 5]),
         st.integers(min_value=0, max_value=4),
+        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def check(hwt, data, r, ceiling):
+    def check(hwt, data, r, ceiling, count_chains):
         h, times = hwt
         v = h.vertex_count
         more = data.draw(st.lists(
@@ -286,10 +288,11 @@ def test_batch_rows_match_scalar_references():
             max_size=4,
         ))
         block = np.array([times, *more], dtype=float).reshape(-1, v)
-        engine = _TrialEngine(h, r, p, count_chains=True,
+        engine = _TrialEngine(h, r, p, count_chains=count_chains,
                               chain_ceiling=ceiling)
         for row, got in zip(block, engine.run(block).tolist()):
-            assert got == _reference_row(h, row.tolist(), r, p, ceiling)
+            want = _reference_row(h, row.tolist(), r, p, ceiling)
+            assert got == (want if count_chains else want[:-2] + [0, 0])
 
     check()
 
@@ -517,30 +520,69 @@ def test_chain_walks_stop_once_none_is_left(r, chains):
     assert rep.total_conflicting_chains == 0 and rep.chain_ceiling_trials == 0
 
 
-def _success_rows(h, r, block):
+def _success_rows(h, r, block, chain_ceiling=None):
     """The engine's success column for the rows of `block`, and
-    greedy_succeeds on each row's birth-time order."""
+    greedy_succeeds on each row's birth-time order. With a chain ceiling the
+    engine counts chains, and sweeps only the rows with a chain or a flag."""
     from hgcolor.greedy import greedy_succeeds
     from hgcolor.montecarlo import _Column, _TrialEngine
 
-    engine = _TrialEngine(h, r, None, count_chains=False, chain_ceiling=0)
+    chains = chain_ceiling is not None
+    engine = _TrialEngine(h, r, None, count_chains=chains, chain_ceiling=chain_ceiling or 0)
     got = engine.run(block)[:, _Column.SUCCESS].tolist()
     want = [int(greedy_succeeds(h, np.argsort(row, kind="stable").tolist(), r)) for row in block]
     return got, want
 
 
 @pytest.mark.parametrize(
-    "instance, r", [((60, 5, 300), 2), ((40, 8, 200), 2), ((40, 8, 200), 3)]
+    "instance, r",
+    [((60, 5, 300), 2), ((40, 8, 200), 2), ((40, 8, 200), 3), ((400, 10, 600), 2),
+     ((200, 10, 1500), 2)],
 )
 def test_success_rows_match_scalar(instance, r):
     """Row by row, the closing-edge sweep agrees with greedy_succeeds, also
-    where nearly every row fails (the first instance at r = 2)."""
+    where nearly every row fails (the first instance at r = 2), where few
+    rows have a pair (the fourth) and where some rows with a pair fail (the
+    last), so the rows without one are the ones left unswept."""
     h = gen_random_uniform(*instance, seed=1)
     block = np.random.default_rng(8).random((150, h.vertex_count))
     got, want = _success_rows(h, r, block)
     assert got == want
     if instance == (60, 5, 300):
         assert sum(want) < 0.1 * len(want)
+    if instance == (200, 10, 1500):
+        assert 0 < len(want) - sum(want) < 0.1 * len(want)
+
+
+@pytest.mark.parametrize(
+    "instance, r", [((60, 5, 300), 3), ((200, 10, 1500), 2), ((30, 4, 200), 3)]
+)
+def test_success_rows_with_chains_match_scalar(instance, r):
+    """With chains counted the sweep runs only on rows with a conflicting
+    r-chain. Every failed row of the last two instances has one, and some
+    have no (r + 1)-chain, so a filter one step too long shows here."""
+    h = gen_random_uniform(*instance, seed=1)
+    block = np.random.default_rng(8).random((150, h.vertex_count))
+    got, want = _success_rows(h, r, block, chain_ceiling=10**7)
+    assert got == want
+    if r == 2 or instance == (30, 4, 200):
+        assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("instance, r, ceiling", [((60, 5, 300), 2, 20), ((20, 3, 100), 3, 10)])
+def test_success_rows_past_the_chain_ceiling_are_swept(instance, r, ceiling):
+    """A row past the chain ceiling counts 0 chains but has more than the
+    ceiling, so it is swept too: here failed rows are among the flagged."""
+    from hgcolor.montecarlo import _Column, _TrialEngine
+
+    h = gen_random_uniform(*instance, seed=1)
+    block = np.random.default_rng(8).random((150, h.vertex_count))
+    got, want = _success_rows(h, r, block, chain_ceiling=ceiling)
+    assert got == want
+    rows = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=ceiling).run(block)
+    flagged = rows[:, _Column.CEILING] == 1
+    assert 0 < flagged.sum() < len(block)
+    assert not all(np.array(want)[flagged])
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -595,6 +637,14 @@ def test_success_without_edges_and_with_a_singleton(r):
     assert _success_rows(Hypergraph(4, []), r, block) == ([1] * 5, [1] * 5)
     h = Hypergraph(4, [(0, 1), (2,), (1, 2, 3)])
     assert _success_rows(h, r, block) == ([0] * 5, [0] * 5)
+    assert _success_rows(h, r, block, chain_ceiling=10) == ([0] * 5, [0] * 5)
+
+
+def test_instance_without_vertices():
+    """Nothing to color: every trial succeeds, with nothing counted."""
+    rep = monte_carlo(Hypergraph(0, []), 2, 5, 1, count_chains=True)
+    assert (rep.successes, rep.trials) == (5, 5)
+    assert rep.total_conflicting_pairs == rep.total_conflicting_chains == 0
 
 
 # (instance, r, count_chains, trials, seed) -> (successes, pairs, short
