@@ -25,9 +25,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def reference_p(n: int) -> float:
-    """The fixed interval width 2 ln(n)/n used by the r-coloring bounds."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    """The fixed interval width 2 ln(n)/n used by the r-coloring bounds and
+    as Monte Carlo's default p (below 1 for every n >= 2)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     return 2.0 * log(n) / n
 
 

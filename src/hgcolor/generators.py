@@ -12,7 +12,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 
-DEFAULT_EDGE_BUDGET = 1_000_000
+# the most edges a generator builds
+EDGE_BUDGET = 1_000_000
 
 # lines {i, i+1, i+3} mod 7; every two lines meet in exactly one point
 _FANO_LINES = (
@@ -26,27 +27,19 @@ _FANO_LINES = (
 )
 
 
-def gen_complete_uniform(
-    m: int, n: int, edge_budget: int = DEFAULT_EDGE_BUDGET
-) -> Hypergraph:
+def gen_complete_uniform(m: int, n: int) -> Hypergraph:
     """All C(m, n) n-subsets of m vertices, in lexicographic order."""
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
     total = comb(m, n)
-    if total > edge_budget:
+    if total > EDGE_BUDGET:
         raise BudgetExceededError(
-            f"complete hypergraph has {total} edges, exceeding budget {edge_budget}"
+            f"complete hypergraph has {total} edges, exceeding budget {EDGE_BUDGET}"
         )
     return Hypergraph(m, combinations(range(m), n))
 
 
-def gen_random_uniform(
-    m: int,
-    n: int,
-    edge_count: int,
-    seed: int,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-) -> Hypergraph:
+def gen_random_uniform(m: int, n: int, edge_count: int, seed: int) -> Hypergraph:
     """edge_count distinct uniform n-subsets of m vertices, seeded."""
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
@@ -55,10 +48,8 @@ def gen_random_uniform(
         raise ValueError(
             f"cannot pick {edge_count} distinct edges out of {total} possible"
         )
-    if edge_count > edge_budget:
-        raise BudgetExceededError(
-            f"{edge_count} edges exceed budget {edge_budget}"
-        )
+    if edge_count > EDGE_BUDGET:
+        raise BudgetExceededError(f"{edge_count} edges exceed budget {EDGE_BUDGET}")
     rng = np.random.default_rng(seed)
     if total <= max(4 * edge_count, 4096):
         pool = list(combinations(range(m), n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
@@ -153,7 +153,6 @@ class BirthTimeAssignment:
 class Violation:
     severity: str  # "error" | "warning"
     message: str
-    edge_index: int | None = field(default=None)
 
 
 def validate(h: Hypergraph) -> list[Violation]:
@@ -168,20 +167,16 @@ def validate(h: Hypergraph) -> list[Violation]:
     seen: dict[tuple[int, ...], int] = {}
     for ei, e in enumerate(h.edges):
         if len(e) == 0:
-            report.append(Violation("error", f"edge {ei} is empty", ei))
+            report.append(Violation("error", f"edge {ei} is empty"))
             continue
         if len(set(e)) != len(e):
-            report.append(Violation("error", f"edge {ei} contains a repeated vertex", ei))
+            report.append(Violation("error", f"edge {ei} contains a repeated vertex"))
         bad = [v for v in e if not 0 <= v < h.vertex_count]
         if bad:
-            report.append(
-                Violation("error", f"edge {ei}: index out of range ({bad[0]})", ei)
-            )
+            report.append(Violation("error", f"edge {ei}: index out of range ({bad[0]})"))
         key = tuple(sorted(set(e)))
         if key in seen:
-            report.append(
-                Violation("warning", f"duplicate edge {ei} (same as edge {seen[key]})", ei)
-            )
+            report.append(Violation("warning", f"duplicate edge {ei} (same as edge {seen[key]})"))
         else:
             seen[key] = ei
     return report

@@ -12,11 +12,12 @@ processing positions: trial i's k-th vertex in birth-time order sits at
 position i * V + k. One gather per batch gives the positions of every
 edge's vertices; their least and greatest are the edge's opening and
 closing positions, the places of its first and last vertex. Spans and
-B/P/R read the birth times in processing order, and pairs meet where one
-edge closes and another opens. Conflicting chains are walks that continue
-where their last edge closes with an edge that opens there
-(:meth:`_TrialEngine._chains`, a per-position sum per step, at every r,
-until no walk is left); the pair count is its first step. The greedy
+B/P/R read the birth times in processing order. Conflicting chains are
+walks that continue where their last edge closes with an edge that opens
+there. Their first step, the two-edge walks ending in each edge, is
+counted once per batch: its sum is the pair count, and
+:meth:`_TrialEngine._chains` extends it by a per-position sum per step,
+until no walk is left. The greedy
 sweep (:meth:`_TrialEngine._succeeds`) reads each edge once, at its
 closing position, in entries sorted by rank: the closing vertex's blocked
 colors are those its closed edges show as their only color. It runs only
@@ -47,11 +48,12 @@ import os
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from math import ceil, log, sqrt
+from math import ceil, sqrt
 from typing import Sequence
 
 import numpy as np
 
+from .bounds import reference_p
 from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition
 from .errors import NumericRangeError
 from .greedy import equitable_partition_color
@@ -80,9 +82,9 @@ def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float
 
 
 def default_p(h: Hypergraph) -> float | None:
-    """2 ln(n)/n for an n-uniform instance (always < 1 for n >= 2)."""
+    """reference_p(n) for an n-uniform instance, else None."""
     cert = uniformity(h)
-    return None if cert is None else 2.0 * log(cert.n) / cert.n
+    return None if cert is None else reference_p(cert.n)
 
 
 @dataclass(frozen=True)
@@ -232,17 +234,16 @@ class _TrialEngine:
         # a defined empty reduction)
         opening = edge_pos.min(axis=0, initial=size)
         closing = edge_pos.max(axis=0, initial=0)
-        # pairs meeting at a position: (edges closing there) x (edges
-        # opening there), less the singleton edges there
-        n_open = np.bincount(opening.ravel(), minlength=size)
+        # the two-edge walks ending in each edge: the edges that close where
+        # it opens, less itself if it is a singleton ((e, e) is no pair)
         n_close = np.bincount(closing.ravel(), minlength=size)
-        n_single = np.bincount(opening[:, self.singleton_edges].ravel(), minlength=size)
-        here = (n_open * n_close - n_single).reshape(trials, v_count)
-        out[:, _Column.PAIRS] = here.sum(axis=1)
+        meets = n_close.take(opening)
+        meets[:, self.singleton_edges] -= 1
+        out[:, _Column.PAIRS] = meets.sum(axis=1)
         # a row can fail only with a conflicting r-chain, whose first step
         # is a pair; a flagged row has more chains than the ceiling
         if self.count_chains:
-            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(n_close, opening, closing)
+            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(meets, size, opening, closing)
             can_fail = out[:, _Column.CHAINS] | out[:, _Column.CEILING]
         else:
             can_fail = out[:, _Column.PAIRS]
@@ -253,6 +254,11 @@ class _TrialEngine:
             span = sorted_times.take(closing) - sorted_times.take(opening)
             out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
         if self.part_lo is not None:
+            # the pairs meeting at each position: (edges closing there) x
+            # (edges opening there), less the singleton edges there
+            n_open = np.bincount(opening.ravel(), minlength=size)
+            n_single = np.bincount(opening[:, self.singleton_edges].ravel(), minlength=size)
+            here = (n_open * n_close - n_single).reshape(trials, v_count)
             sorted_times = sorted_times.reshape(trials, v_count)
             below = sorted_times < self.part_lo
             out[:, _Column.B] = (here * below).sum(axis=1)
@@ -321,33 +327,29 @@ class _TrialEngine:
         success[rows] = codes.reshape(trials, self.v_count)[rows].max(axis=1) < self.code_limit
         return success
 
-    def _chains(self, n_close: np.ndarray, opening: np.ndarray, closing: np.ndarray):
+    def _chains(self, meets: np.ndarray, size: int, opening: np.ndarray, closing: np.ndarray):
         """Each row's conflicting r-chain count and whether it passes the
-        ceiling (a flagged row counts 0). By the lemma in
-        :mod:`hgcolor.conflicts` the chains are the walks of last -> first
-        matches with no singleton in the middle: the walks of k + 1 edges
-        ending in e are those of k edges ending in an edge that closes where
-        e opens, summed per position (`n_close` at k = 1). Singletons count 0
-        at the middle steps and lose their own walks at the last. Counts
-        saturate at the ceiling + 1, which is exact: a saturated count
-        reaches a row's total only through a completion, and then the total
-        passes the ceiling either way. Past `walk_limit` a sum could wrap, so
-        a row that reaches it under a higher ceiling is refused.
+        ceiling (a flagged row counts 0), extending run's two-edge walks
+        `meets`. By the lemma in :mod:`hgcolor.conflicts` the chains are the
+        walks of last -> first matches with no singleton in the middle: the
+        walks of k + 1 edges ending in e are those of k edges ending in an
+        edge that closes where e opens, summed over the `size` positions.
+        Each step first zeroes the walks ending in a singleton, and the steps
+        stop once no walk is left. Counts saturate at the ceiling + 1, which
+        is exact: a saturated count reaches a row's total only through a
+        completion, and then the total passes the ceiling either way. Past
+        `walk_limit` a sum could wrap, so a row that reaches it under a
+        higher ceiling is refused.
         """
         cap = min(self.chain_ceiling + 1, self.walk_limit)
-        walks = np.ones(opening.shape, dtype=np.int64)
-        at = n_close
-        for step in range(2, self.r + 1):
-            if step > 2:
-                at = np.zeros_like(n_close)
-                np.add.at(at, closing.ravel(), walks.ravel())
-            last, walks = walks, at.take(opening)
-            if step < self.r:
-                walks[:, self.singleton_edges] = 0
-                if not walks.any():
-                    break
-            else:
-                walks[:, self.singleton_edges] -= last[:, self.singleton_edges]
+        walks = np.minimum(meets, cap)
+        for _ in range(3, self.r + 1):
+            walks[:, self.singleton_edges] = 0
+            if not walks.any():
+                break
+            at = np.zeros(size, dtype=np.int64)
+            np.add.at(at, closing.ravel(), walks.ravel())
+            walks = at.take(opening)
             np.minimum(walks, cap, out=walks)
         counts = walks.sum(axis=1)
         if self.chain_ceiling >= self.walk_limit and (counts >= cap).any():
@@ -489,7 +491,7 @@ def monte_carlo(
         mean_short_edges=short / trials if p is not None else None,
         interval_counts=(
             (total[_Column.B], total[_Column.P_MID], total[_Column.R_INT])
-            if (p is not None and r == 2)
+            if engine.part_lo is not None
             else None
         ),
         total_conflicting_chains=chains if count_chains else None,

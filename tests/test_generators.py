@@ -27,7 +27,7 @@ class TestComplete:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            gen_complete_uniform(40, 20, edge_budget=1000)
+            gen_complete_uniform(40, 20)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

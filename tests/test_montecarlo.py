@@ -14,6 +14,7 @@ from hgcolor import (
     prob_edge_short_exact,
     wilson_interval,
 )
+from hgcolor.bounds import reference_p
 from hgcolor.montecarlo import Z95, Z99, default_p
 from hgcolor.suite import fixed_suite
 
@@ -58,6 +59,10 @@ class TestMonteCarlo:
         assert default_p(fano) == pytest.approx(2 * np.log(3) / 3)
         rep = monte_carlo(fano, 2, 10, seed=3)
         assert rep.p == pytest.approx(2 * np.log(3) / 3)
+        # 2 ln(2)/2 = ln 2 for a 2-uniform instance; reference_p refuses n = 1
+        assert default_p(Hypergraph(3, [(0, 1), (1, 2)])) == pytest.approx(np.log(2))
+        with pytest.raises(ValueError):
+            reference_p(1)
 
     def test_path_pair_rate_matches_beta(self):
         # P(shared vertex last of e, first of f) = Beta(2,2) = 1/6 for each
@@ -321,12 +326,13 @@ _EDGE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_engine_rows_on_edge_cases(case, r):
     """Rows for all-tied birth times, vertices in no edge and singleton
     edges with p set equal the scalar references. Positions and vertices
     differ in every non-identity order, so a count read at the wrong one
-    shows here (the B/P/R columns at r = 2 read singletons per position)."""
+    shows here (the B/P/R columns at r = 2 read singletons per position).
+    At r = 4 a singleton can end a chain after two middle steps."""
     from hgcolor.montecarlo import _TrialEngine
 
     h, block = _EDGE_CASES[case]
