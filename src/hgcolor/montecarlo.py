@@ -15,7 +15,8 @@ closing positions, the places of its first and last vertex. Spans and
 B/P/R read the birth times in processing order. Conflicting chains are
 walks that continue where their last edge closes with an edge that opens
 there. Their first step, the two-edge walks ending in each edge, is
-counted once per batch: its sum is the pair count, and
+counted once per batch: its sum is the pair count, B/P/R splits it by
+the interval of the vertex where each edge opens, and
 :meth:`_TrialEngine._chains` extends it by a per-position sum per step,
 until no walk is left. The greedy
 sweep (:meth:`_TrialEngine._succeeds`) reads each edge once, at its
@@ -251,19 +252,16 @@ class _TrialEngine:
         del edge_pos  # the batch's largest array; free before the spans
         sorted_times = times.ravel().take(flat)
         if self.short_threshold is not None:
-            span = sorted_times.take(closing) - sorted_times.take(opening)
+            t_open = sorted_times.take(opening)
+            span = sorted_times.take(closing) - t_open
             out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
         if self.part_lo is not None:
-            # the pairs meeting at each position: (edges closing there) x
-            # (edges opening there), less the singleton edges there
-            n_open = np.bincount(opening.ravel(), minlength=size)
-            n_single = np.bincount(opening[:, self.singleton_edges].ravel(), minlength=size)
-            here = (n_open * n_close - n_single).reshape(trials, v_count)
-            sorted_times = sorted_times.reshape(trials, v_count)
-            below = sorted_times < self.part_lo
-            out[:, _Column.B] = (here * below).sum(axis=1)
-            out[:, _Column.P_MID] = (here * (~below & (sorted_times < self.part_hi))).sum(axis=1)
-            out[:, _Column.R_INT] = (here * (sorted_times >= self.part_hi)).sum(axis=1)
+            # a pair lies in the interval of the vertex where its second
+            # edge opens, so each edge's meets count there; the three
+            # intervals cover [0, 1), so P is the pairs left over
+            out[:, _Column.B] = np.einsum("ij,ij->i", meets, t_open < self.part_lo)
+            out[:, _Column.R_INT] = np.einsum("ij,ij->i", meets, t_open >= self.part_hi)
+            out[:, _Column.P_MID] = out[:, _Column.PAIRS] - out[:, _Column.B] - out[:, _Column.R_INT]
         return out
 
     def _succeeds(
