@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from math import log, sqrt
@@ -156,12 +157,16 @@ def bound_table(n_values: list[int], r_values: list[int]) -> list[BoundRow]:
     Numeric range failures mark the cell; the table always completes.
     Edge sizes n < 2 have no reference scale n/ln(n), and color counts
     r < 2 no r-coloring rate; both are rejected, as is an empty n or r list.
+    An n past the float range, where n/ln(n) cannot be formed, is refused
+    with a NumericRangeError.
     """
     if not n_values or not r_values:
         raise ValueError(f"bound table needs at least one n and one r, got {n_values} and {r_values}")
     for n in n_values:
         if n < 2:
             raise ValueError(f"bound table needs edge sizes n >= 2, got n={n}")
+        if n > sys.float_info.max:
+            raise NumericRangeError(f"bound table needs edge sizes n within the float range, got n={n}")
     for r in r_values:
         if r < 2:
             raise ValueError(f"bound table needs color counts r >= 2, got r={r}")

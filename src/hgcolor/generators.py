@@ -5,7 +5,6 @@ Fano plane (the smallest 3-uniform hypergraph with no proper 2-coloring).
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -27,14 +26,25 @@ _FANO_LINES = (
 )
 
 
+def _comb_capped(m: int, n: int, cap: int) -> int:
+    """C(m, n) when it is at most `cap`, else a number above `cap` (and at
+    most C(m, n)). C(m, i) grows with i up to m/2, so the product stops at
+    the first C(m, i) past `cap` instead of building a huge binomial."""
+    total = 1
+    for i in range(1, min(n, m - n) + 1):
+        total = total * (m - i + 1) // i
+        if total > cap:
+            break
+    return total
+
+
 def gen_complete_uniform(m: int, n: int) -> Hypergraph:
     """All C(m, n) n-subsets of m vertices, in lexicographic order."""
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
-    total = comb(m, n)
-    if total > EDGE_BUDGET:
+    if _comb_capped(m, n, EDGE_BUDGET) > EDGE_BUDGET:
         raise BudgetExceededError(
-            f"complete hypergraph has {total} edges, exceeding budget {EDGE_BUDGET}"
+            f"complete hypergraph has C({m}, {n}) edges, exceeding budget {EDGE_BUDGET}"
         )
     return Hypergraph(m, combinations(range(m), n))
 
@@ -43,15 +53,20 @@ def gen_random_uniform(m: int, n: int, edge_count: int, seed: int) -> Hypergraph
     """edge_count distinct uniform n-subsets of m vertices, seeded."""
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
-    total = comb(m, n)
-    if edge_count < 0 or edge_count > total:
+    if edge_count < 0:
+        raise ValueError(f"need a nonnegative edge count, got {edge_count}")
+    # all C(m, n) edges are listed up to this many; the count is exact up to
+    # it, and past it already exceeds edge_count
+    pool_limit = max(4 * edge_count, 4096)
+    total = _comb_capped(m, n, pool_limit)
+    if edge_count > total:
         raise ValueError(
             f"cannot pick {edge_count} distinct edges out of {total} possible"
         )
     if edge_count > EDGE_BUDGET:
         raise BudgetExceededError(f"{edge_count} edges exceed budget {EDGE_BUDGET}")
     rng = np.random.default_rng(seed)
-    if total <= max(4 * edge_count, 4096):
+    if total <= pool_limit:
         pool = list(combinations(range(m), n))
         picks = rng.choice(total, size=edge_count, replace=False)
         return Hypergraph(m, [pool[i] for i in picks])

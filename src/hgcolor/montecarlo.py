@@ -7,26 +7,26 @@ and 99% Wilson intervals (well behaved at estimates of 0 and 1, which
 non-colorable and trivially colorable instances produce).
 
 Trials run in batches: the rows of one (trials x vertices) array of birth
-times, row i still drawn from (master seed, i). The engine works in
-processing positions: trial i's k-th vertex in birth-time order sits at
-position i * V + k. One gather per batch gives the positions of every
-edge's vertices; their least and greatest are the edge's opening and
-closing positions, the places of its first and last vertex. Spans and
-B/P/R read the birth times in processing order. Conflicting chains are
-walks that continue where their last edge closes with an edge that opens
-there. Their first step, the two-edge walks ending in each edge, is
-counted once per batch: its sum is the pair count, B/P/R splits it by
-the interval of the vertex where each edge opens, and
-:meth:`_TrialEngine._chains` extends it by a per-position sum per step,
-until no walk is left. The greedy
-sweep (:meth:`_TrialEngine._succeeds`) reads each edge once, at its
+times, row i still drawn from (master seed, i). :meth:`_TrialEngine.run`
+calls its stages in order, each a method from arrays to arrays.
+``_positions`` sorts each row: trial i's k-th vertex in birth-time order
+sits at position i * V + k. ``_edge_positions`` gathers the positions of
+every edge's vertices, once per batch; their least and greatest are the
+edge's opening and closing positions, the places of its first and last
+vertex. Conflicting chains are walks that continue where their last edge
+closes with an edge that opens there. ``_meets`` counts their first step,
+the two-edge walks ending in each edge, whose sum is the pair count, and
+``_chains`` extends it by a per-position sum per step, until no walk is
+left. The greedy sweep, ``_succeeds``, reads each edge once, at its
 closing position, in entries sorted by rank: the closing vertex's blocked
 colors are those its closed edges show as their only color. It runs only
 on the trials with a pair, or with a conflicting r-chain when chains are
 counted: by the lemma in :mod:`hgcolor.conflicts`, on an instance with no
 singleton edge a trial that fails has a conflicting r-chain, and every
-other trial succeeds. Each trial's counts are the columns named by
-:class:`_Column`. :func:`hgcolor.greedy.greedy_succeeds` and the
+other trial succeeds. ``_spans`` reads the birth times in processing order
+for the short edges and B/P/R, which splits the pairs by the interval of
+the vertex where each edge opens. Each trial's counts are the columns of
+:class:`_Column`; :func:`hgcolor.greedy.greedy_succeeds` and the
 per-assignment functions of :mod:`hgcolor.conflicts` are their references
 in the tests. Pairs are counted in every trial, short edges whenever there
 is a p, B/P/R when there is a p and r = 2, and chains on request. A batch
@@ -209,67 +209,64 @@ class _TrialEngine:
 
     def run(self, times: np.ndarray) -> np.ndarray:
         """Trials given as rows of birth times (trials x vertices): one row
-        of counts each, in the columns of _Column."""
-        trials, v_count = times.shape
-        out = np.zeros((trials, len(_Column)), dtype=np.int64)
-        # a stable sort by time alone breaks ties by ascending index
-        orders = np.argsort(times, axis=1, kind="stable")
-        # positions are absolute, trial * V + rank (int32: a batch holds at
-        # most max(_BATCH_ELEMENTS, V) of them), and flat[k] is the flat
-        # index (trial * V + vertex) of the vertex at position k
-        size = trials * v_count
-        offsets = np.arange(trials, dtype=np.int32)[:, None] * v_count
-        flat = (orders + offsets).ravel()
-        position = np.empty(size, dtype=np.int32)
-        position[flat] = np.arange(size, dtype=np.int32)
-        position = position.reshape(trials, v_count)
-        # one (trials x edges) layer of positions per edge matrix column;
-        # the columns hold vertex ids of a valid instance, so take may
-        # write to `out` unbuffered ("clip")
-        width, m = self.columns.shape
-        edge_pos = np.empty((width, trials, m), dtype=np.int32)
-        for layer, column in zip(edge_pos, self.columns):
-            position.take(column, axis=1, out=layer, mode="clip")
-        # an edge's first and last vertex hold its least and greatest
-        # position (the initial values only give an instance without edges
-        # a defined empty reduction)
-        opening = edge_pos.min(axis=0, initial=size)
-        closing = edge_pos.max(axis=0, initial=0)
-        # the two-edge walks ending in each edge: the edges that close where
-        # it opens, less itself if it is a singleton ((e, e) is no pair)
-        n_close = np.bincount(closing.ravel(), minlength=size)
-        meets = n_close.take(opening)
-        meets[:, self.singleton_edges] -= 1
-        out[:, _Column.PAIRS] = meets.sum(axis=1)
+        of counts each, in the columns of _Column, from the stages below."""
+        out = np.zeros((len(times), len(_Column)), dtype=np.int64)
+        position, flat = self._positions(times)
+        edge_pos, opening, closing = self._edge_positions(position)
+        meets, out[:, _Column.PAIRS] = self._meets(opening, closing)
         # a row can fail only with a conflicting r-chain, whose first step
         # is a pair; a flagged row has more chains than the ceiling
         if self.count_chains:
-            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(meets, size, opening, closing)
+            out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(meets, opening, closing)
             can_fail = out[:, _Column.CHAINS] | out[:, _Column.CEILING]
         else:
             can_fail = out[:, _Column.PAIRS]
-        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, offsets, np.flatnonzero(can_fail))
+        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, np.flatnonzero(can_fail))
         del edge_pos  # the batch's largest array; free before the spans
-        sorted_times = times.ravel().take(flat)
         if self.short_threshold is not None:
-            t_open = sorted_times.take(opening)
-            span = sorted_times.take(closing) - t_open
-            out[:, _Column.SHORT] = np.count_nonzero(span < self.short_threshold, axis=1)
-        if self.part_lo is not None:
-            # a pair lies in the interval of the vertex where its second
-            # edge opens, so each edge's meets count there; the three
-            # intervals cover [0, 1), so P is the pairs left over
-            out[:, _Column.B] = np.einsum("ij,ij->i", meets, t_open < self.part_lo)
-            out[:, _Column.R_INT] = np.einsum("ij,ij->i", meets, t_open >= self.part_hi)
-            out[:, _Column.P_MID] = out[:, _Column.PAIRS] - out[:, _Column.B] - out[:, _Column.R_INT]
+            out[:, _Column.SHORT], b, r_int = self._spans(times, flat, opening, closing, meets)
+            if self.part_lo is not None:
+                # the three intervals cover [0, 1), so P is the pairs left over
+                out[:, _Column.B], out[:, _Column.R_INT] = b, r_int
+                out[:, _Column.P_MID] = out[:, _Column.PAIRS] - b - r_int
         return out
 
-    def _succeeds(
-        self, edge_pos: np.ndarray, closing: np.ndarray, offsets: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray | bool:
-        """greedy_succeeds for each trial of a batch, given run's positions of
-        every edge's vertices, their largest, each trial's first position and
-        the rows that can fail.
+    def _positions(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's absolute position, trial * V + rank, with ties broken
+        by ascending index (int32: a batch holds at most max(_BATCH_ELEMENTS,
+        V) of them), and flat[k], the flat index (trial * V + vertex) of the
+        vertex at position k."""
+        trials, v_count = times.shape
+        orders = np.argsort(times, axis=1, kind="stable")
+        size = trials * v_count
+        flat = (orders + np.arange(trials, dtype=np.int32)[:, None] * v_count).ravel()
+        position = np.empty(size, dtype=np.int32)
+        position[flat] = np.arange(size, dtype=np.int32)
+        return position.reshape(trials, v_count), flat
+
+    def _edge_positions(self, position: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of every edge's vertices, one (trials x edges) layer
+        per edge matrix column, and their least and greatest, where each edge
+        opens and closes (`initial` defines them on an instance without edges)."""
+        width, m = self.columns.shape
+        edge_pos = np.empty((width, len(position), m), dtype=np.int32)
+        # the columns hold valid vertex ids, so take may write `out` unbuffered
+        for layer, column in zip(edge_pos, self.columns):
+            position.take(column, axis=1, out=layer, mode="clip")
+        return edge_pos, edge_pos.min(axis=0, initial=position.size), edge_pos.max(axis=0, initial=0)
+
+    def _meets(self, opening: np.ndarray, closing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two-edge walks ending in each edge, the edges that close where
+        it opens less itself if it is a singleton ((e, e) is no pair), and
+        their row sums, the pair counts."""
+        n_close = np.bincount(closing.ravel(), minlength=len(closing) * self.v_count)
+        meets = n_close.take(opening)
+        meets[:, self.singleton_edges] -= 1
+        return meets, meets.sum(axis=1)
+
+    def _succeeds(self, edge_pos: np.ndarray, closing: np.ndarray, rows: np.ndarray) -> np.ndarray | bool:
+        """greedy_succeeds for each trial of a batch, given the positions of
+        every edge's vertices, their largest and the rows that can fail.
 
         On an instance with no singleton edge a failed row has a conflicting
         r-chain (the lemma in :mod:`hgcolor.conflicts`), so every row outside
@@ -278,7 +275,7 @@ class _TrialEngine:
         A color is blocked for a vertex only through an edge that the vertex
         closes, and then every other vertex of the edge has its final color. So
         the sweep reads each edge once, at its closing position, with the
-        entries (trial, edge) sorted by rank (the position within the trial).
+        entries (trial, edge) sorted by rank, closing - trial * V.
         A vertex that closes no edge takes color 1, written before the sweep.
         Colors are kept as codes in one array indexed by position, and a
         trial succeeds when its largest code is below `code_limit`.
@@ -289,7 +286,7 @@ class _TrialEngine:
         # a stable sort of 16-bit keys is a radix sort; entries closing at one
         # rank stay in (trial, edge) order. Entries are flat (trial * m + edge)
         # indices of the whole batch, so the gather is read in place
-        keys = (closing[rows] - offsets[rows]).astype(self.ranks.dtype).ravel()
+        keys = (closing[rows] - rows[:, None] * self.v_count).astype(self.ranks.dtype).ravel()
         order = np.argsort(keys, kind="stable")
         rank = keys[order]
         entry = (rows[:, None] * m + np.arange(m)).ravel()[order]
@@ -325,13 +322,13 @@ class _TrialEngine:
         success[rows] = codes.reshape(trials, self.v_count)[rows].max(axis=1) < self.code_limit
         return success
 
-    def _chains(self, meets: np.ndarray, size: int, opening: np.ndarray, closing: np.ndarray):
+    def _chains(self, meets: np.ndarray, opening: np.ndarray, closing: np.ndarray):
         """Each row's conflicting r-chain count and whether it passes the
-        ceiling (a flagged row counts 0), extending run's two-edge walks
+        ceiling (a flagged row counts 0), extending the two-edge walks
         `meets`. By the lemma in :mod:`hgcolor.conflicts` the chains are the
         walks of last -> first matches with no singleton in the middle: the
         walks of k + 1 edges ending in e are those of k edges ending in an
-        edge that closes where e opens, summed over the `size` positions.
+        edge that closes where e opens, summed per position.
         Each step first zeroes the walks ending in a singleton, and the steps
         stop once no walk is left. Counts saturate at the ceiling + 1, which
         is exact: a saturated count reaches a row's total only through a
@@ -345,7 +342,7 @@ class _TrialEngine:
             walks[:, self.singleton_edges] = 0
             if not walks.any():
                 break
-            at = np.zeros(size, dtype=np.int64)
+            at = np.zeros(len(meets) * self.v_count, dtype=np.int64)
             np.add.at(at, closing.ravel(), walks.ravel())
             walks = at.take(opening)
             np.minimum(walks, cap, out=walks)
@@ -355,6 +352,19 @@ class _TrialEngine:
                                     "the most counted exactly here; lower the chain ceiling")
         flagged = counts > self.chain_ceiling
         return np.where(flagged, 0, counts), flagged
+
+    def _spans(self, times: np.ndarray, flat: np.ndarray, opening: np.ndarray, closing: np.ndarray,
+               meets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Each row's short edges, and its B and R pairs when there is a
+        partition (else None): a pair lies in the interval of the vertex
+        where its second edge opens, so each edge's meets count there."""
+        sorted_times = times.ravel().take(flat)  # in processing order
+        t_open = sorted_times.take(opening)
+        short = np.count_nonzero(sorted_times.take(closing) - t_open < self.short_threshold, axis=1)
+        if self.part_lo is None:
+            return short, None, None
+        return (short, np.einsum("ij,ij->i", meets, t_open < self.part_lo),
+                np.einsum("ij,ij->i", meets, t_open >= self.part_hi))
 
 
 def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[int, ...]:

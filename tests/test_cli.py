@@ -295,6 +295,14 @@ class TestBounds:
         assert "n=1" in err and "Traceback" not in err
         assert out == ""
 
+    def test_edge_size_past_float_range_rejected(self, tmp_path, capsys):
+        # n / ln(n) cannot be formed as a float here
+        csv_path = tmp_path / "bounds.csv"
+        code, out, err = run(capsys, "bounds", "--n", str(10**400), "--out", str(csv_path))
+        assert code == EXIT_BUDGET
+        assert f"n={10**400}" in err and "Traceback" not in err
+        assert out == "" and not csv_path.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

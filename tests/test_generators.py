@@ -12,6 +12,7 @@ from hgcolor import (
     uniformity,
     validate,
 )
+from hgcolor.generators import EDGE_BUDGET, _comb_capped
 
 
 class TestComplete:
@@ -26,8 +27,11 @@ class TestComplete:
         assert uniformity(h).n == 3
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            gen_complete_uniform(40, 20)
+        # C(10**7, 5 * 10**6) has about 3 million digits: the budget check
+        # must refuse it without building it
+        for m, n in [(40, 20), (10**7, 5 * 10**6)]:
+            with pytest.raises(BudgetExceededError, match=f"C\\({m}, {n}\\)"):
+                gen_complete_uniform(m, n)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -60,8 +64,24 @@ class TestRandom:
         assert len(set(h.edges)) == 50
 
     def test_infeasible_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of 4 possible"):
             gen_random_uniform(4, 3, 100, seed=0)
+        with pytest.raises(ValueError, match="got -1"):
+            gen_random_uniform(40, 20, -1, seed=0)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError):
+            gen_random_uniform(10**7, 5 * 10**6, EDGE_BUDGET + 1, seed=0)
+
+
+def test_capped_binomial():
+    """C(m, n) exactly up to the cap, else a value past the cap and not
+    past C(m, n)."""
+    for m in range(2, 40):
+        for n in range(2, m + 1):
+            for cap in (0, 1, 10, 4096, 10**6):
+                got, exact = _comb_capped(m, n, cap), comb(m, n)
+                assert got == exact if exact <= cap else cap < got <= exact
 
 
 class TestFano:

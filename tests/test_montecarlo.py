@@ -591,6 +591,53 @@ def test_success_rows_past_the_chain_ceiling_are_swept(instance, r, ceiling):
     assert not all(np.array(want)[flagged])
 
 
+def test_stages_compose_on_the_rows_that_can_fail():
+    """The rows of a batch that can fail, stacked as a batch of their own,
+    get run's success column from _positions -> _edge_positions ->
+    _succeeds alone: the sweep reads no row outside those it is given, and
+    a row's ranks do not depend on where it sits in a batch. Ties come from
+    a coarse grid of times, singleton edges from the first strategy, and
+    rows that fail without one mostly from the denser second."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from hgcolor.montecarlo import _Column, _TrialEngine
+
+    from conftest import hypergraphs_with_times
+
+    @given(
+        st.one_of(
+            hypergraphs_with_times(),
+            hypergraphs_with_times(max_vertices=6, max_edges=16, min_edge_size=2, max_edge_size=3),
+        ),
+        st.data(),
+        st.sampled_from([2, 3, 4]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def check(hwt, data, r, count_chains, ceiling):
+        h, times = hwt
+        v = h.vertex_count
+        time = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
+        more = data.draw(st.lists(st.lists(time, min_size=v, max_size=v), max_size=10))
+        block = np.array([times, *more], dtype=float).reshape(-1, v)
+        engine = _TrialEngine(h, r, None, count_chains=count_chains, chain_ceiling=ceiling)
+        rows = engine.run(block)
+        if count_chains:
+            can_fail = rows[:, _Column.CHAINS] | rows[:, _Column.CEILING]
+        else:
+            can_fail = rows[:, _Column.PAIRS]
+        stacked = block[can_fail > 0]
+        position, _ = engine._positions(stacked)
+        edge_pos, _, closing = engine._edge_positions(position)
+        got = engine._succeeds(edge_pos, closing, np.arange(len(stacked)))
+        want = rows[can_fail > 0, _Column.SUCCESS]
+        assert np.broadcast_to(got, len(stacked)).tolist() == want.astype(bool).tolist()
+
+    check()
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_success_rows_where_padding_is_the_closing_vertex(r):
     """edge_matrix pads a short edge with its first vertex. Vertex 0 comes
