@@ -40,11 +40,11 @@ def main() -> None:
             ratio = max_k_2col(n) / sqrt(n / log(n))
             writer.writerow(
                 [n, f"{k:.4f}", f"{p_ref:.3e}", f"{v_ref:.6f}",
-                 f"{opt.value_numeric:.6f}", f"{limit:.6f}",
+                 f"{opt.best_value:.6f}", f"{limit:.6f}",
                  f"{v_ref - limit:.6f}", f"{ratio:.4f}"]
             )
             print(
-                f"n={n:>9}  value={v_ref:.5f}  optimal={opt.value_numeric:.5f}  "
+                f"n={n:>9}  value={v_ref:.5f}  optimal={opt.best_value:.5f}  "
                 f"limit={limit:.3f}  certified-k ratio={ratio:.4f}"
             )
     print(f"wrote {args.out}")

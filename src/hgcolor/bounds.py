@@ -61,43 +61,27 @@ def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class POptimum:
-    """Both choices of the interval width: the closed form ln(n/k)/n (absent
-    when k >= n) and the numeric minimizer of the two-color bound."""
+    """The interval width that minimizes the two-color bound, and the bound
+    there."""
 
-    p_closed: float | None
-    value_closed: float | None
-    p_numeric: float
-    value_numeric: float
-
-    @property
-    def best_p(self) -> float:
-        if self.value_closed is not None and self.value_closed < self.value_numeric:
-            return self.p_closed  # type: ignore[return-value]
-        return self.p_numeric
-
-    @property
-    def best_value(self) -> float:
-        if self.value_closed is not None:
-            return min(self.value_closed, self.value_numeric)
-        return self.value_numeric
+    best_p: float
+    best_value: float
 
 
 def optimize_p(k: float, n: int) -> POptimum:
-    """Minimize two_color_bound over p in (0,1); golden section to 1e-12."""
+    """Minimize two_color_bound over p in [0, 1] exactly.
+
+    The bound is convex in p with derivative k^2 - k n (1-p)^(n-1), so its
+    minimizer is p* = 1 - (k/n)^(1/(n-1)) when k < n and p* = 0 otherwise.
+    """
     if k <= 0 or n < 2:
         raise ValueError(f"invalid arguments k={k}, n={n}")
-    p_num, v_num = _golden_min(lambda p: two_color_bound(k, p, n), 0.0, 1.0)
-    p_closed = value_closed = None
-    if k < n:
-        pc = log(n / k) / n
-        if 0.0 < pc < 1.0:
-            p_closed = pc
-            value_closed = two_color_bound(k, pc, n)
-    return POptimum(p_closed, value_closed, p_num, v_num)
+    p = -expm1(log(k / n) / (n - 1)) if k < n else 0.0
+    return POptimum(p, two_color_bound(k, p, n))
 
 
 def min_two_color_bound(k: float, n: int) -> float:
-    return optimize_p(k, n).value_numeric
+    return optimize_p(k, n).best_value
 
 
 def _max_feasible(feasible, lo: float = 0.0, hi0: float = 1.0, tol: float = SEARCH_TOL) -> float:

@@ -11,8 +11,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 
-# the most edges a generator builds
-EDGE_BUDGET = 1_000_000
+# the most vertex slots (edges times uniformity n) a generator builds
+SLOT_BUDGET = 10_000_000
 
 # lines {i, i+1, i+3} mod 7; every two lines meet in exactly one point
 _FANO_LINES = (
@@ -42,9 +42,10 @@ def gen_complete_uniform(m: int, n: int) -> Hypergraph:
     """All C(m, n) n-subsets of m vertices, in lexicographic order."""
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
-    if _comb_capped(m, n, EDGE_BUDGET) > EDGE_BUDGET:
+    if _comb_capped(m, n, SLOT_BUDGET // n) > SLOT_BUDGET // n:
         raise BudgetExceededError(
-            f"complete hypergraph has C({m}, {n}) edges, exceeding budget {EDGE_BUDGET}"
+            f"complete hypergraph has C({m}, {n}) edges of {n} vertices, "
+            f"exceeding budget {SLOT_BUDGET} vertex slots"
         )
     return Hypergraph(m, combinations(range(m), n))
 
@@ -63,8 +64,10 @@ def gen_random_uniform(m: int, n: int, edge_count: int, seed: int) -> Hypergraph
         raise ValueError(
             f"cannot pick {edge_count} distinct edges out of {total} possible"
         )
-    if edge_count > EDGE_BUDGET:
-        raise BudgetExceededError(f"{edge_count} edges exceed budget {EDGE_BUDGET}")
+    if edge_count * n > SLOT_BUDGET:
+        raise BudgetExceededError(
+            f"{edge_count} edges of {n} vertices exceed budget {SLOT_BUDGET} vertex slots"
+        )
     rng = np.random.default_rng(seed)
     if total <= pool_limit:
         pool = list(combinations(range(m), n))

@@ -3,7 +3,7 @@ from math import exp, factorial, log, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln
 
@@ -70,39 +70,81 @@ class TestTwoColorBound:
         assert values[10**4] > values[10**5] > values[10**6] > 0.98
 
 
+_INVPHI = (sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_reference(k: float, n: int) -> float:
+    """An independent numeric minimum of the two-color bound: golden
+    section over [0, 1] to 1e-12, or the bound at ln(n/k)/n where that is
+    lower."""
+
+    def f(p: float) -> float:
+        return two_color_bound(k, p, n)
+
+    a, b = 0.0, 1.0
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    value = f((a + b) / 2.0)
+    p_closed = log(n / k) / n
+    return min(value, f(p_closed)) if 0.0 < p_closed < 1.0 else value
+
+
 class TestOptimizeP:
-    def test_numeric_never_worse_than_closed(self):
-        for k, n in [(1, 10), (2, 50), (5, 100), (0.5, 1000), (20, 10_000)]:
-            opt = optimize_p(k, n)
-            assert opt.value_closed is None or opt.value_numeric <= opt.value_closed + 1e-12
-
-    def test_stationarity_at_numeric_optimum(self):
-        k, n = 5, 100
+    @given(st.floats(0.01, 50), st.integers(2, 10**4))
+    @settings(max_examples=300)
+    def test_no_worse_than_a_numeric_search(self, k, n):
         opt = optimize_p(k, n)
-        eps = 1e-6
-        deriv = (
-            two_color_bound(k, opt.p_numeric + eps, n)
-            - two_color_bound(k, opt.p_numeric - eps, n)
-        ) / (2 * eps)
-        # analytic derivative: -k n (1-p)^(n-1) + k^2
-        assert abs(deriv) < 1e-3
+        assert opt.best_value == two_color_bound(k, opt.best_p, n)
+        assert opt.best_value <= _golden_reference(k, n) * (1 + 1e-12)
+        p_closed = log(n / k) / n
+        if 0.0 <= p_closed <= 1.0:
+            assert opt.best_value <= two_color_bound(k, p_closed, n)
 
-    def test_closed_form_matches_formula(self):
-        opt = optimize_p(5, 100)
-        assert opt.p_closed == pytest.approx(log(100 / 5) / 100)
+    @given(st.floats(0.01, 50), st.integers(2, 10**4))
+    @settings(max_examples=300)
+    def test_derivative_vanishes_at_optimum(self, k, n):
+        assume(k < n)
+        p = optimize_p(k, n).best_p
+        assert 0.0 < p < 1.0
+        # d/dp [k (1-p)^n + k^2 p] = k^2 - k n (1-p)^(n-1)
+        deriv = k * k - k * n * exp((n - 1) * math.log1p(-p))
+        assert abs(deriv) <= 1e-12 * k * k
 
-    def test_closed_form_absent_for_large_k(self):
-        opt = optimize_p(150, 100)
-        assert opt.p_closed is None and opt.value_closed is None
-        assert opt.best_p == opt.p_numeric
+    @given(st.integers(2, 10**4), st.floats(1.0, 100.0))
+    def test_k_at_least_n_takes_p_zero(self, n, scale):
+        # the derivative k^2 - k n (1-p)^(n-1) is >= 0 on [0, 1]
+        k = n * scale
+        opt = optimize_p(k, n)
+        assert (opt.best_p, opt.best_value) == (0.0, k)
+
+    @given(st.floats(0.01, 1.99))
+    def test_n2_value(self, k):
+        # at n = 2, p* = 1 - k/2 and the bound is k^2 - k^3/4
+        opt = optimize_p(k, 2)
+        assert opt.best_p == pytest.approx(1 - k / 2, rel=1e-12)
+        assert opt.best_value == pytest.approx(k * k - k**3 / 4, rel=1e-12)
+
+    def test_invalid_arguments(self):
+        for k, n in [(0, 10), (-1, 10), (1, 1)]:
+            with pytest.raises(ValueError):
+                optimize_p(k, n)
 
 
 class TestMaxK2col:
-    def test_n2_frozen(self):
-        # derived via an independent bisection over a golden-section inner
-        # minimization (both sides re-run to 1e-9)
-        assert max_k_2col(2) == pytest.approx(1.19393656, abs=1e-6)
-        assert max_k_2col(2) >= 1.0
+    def test_n2_is_the_cubic_root(self):
+        # the bound at n = 2 is k^2 - k^3/4, so max_k_2col(2) is the root
+        # of k^3 - 4k^2 + 4 in (1, 2)
+        (root,) = [z.real for z in np.roots([1, -4, 0, 4]) if 1 < z.real < 2]
+        assert max_k_2col(2) == pytest.approx(root, abs=1e-9)
 
     def test_monotone_in_n(self):
         values = [max_k_2col(n) for n in (10, 32, 100, 316, 1000)]

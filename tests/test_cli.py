@@ -32,6 +32,17 @@ class TestGen:
         run(capsys, "gen", "random", "--m", "8", "--n", "3", "--edges", "10", "--seed", "5", "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_wide_edges_exceed_the_budget(self, tmp_path, capsys):
+        # ten edges of five million vertices: few edges, but 5 * 10**7
+        # vertex slots, refused before any edge is drawn
+        path = tmp_path / "x.hg"
+        code, _, err = run(
+            capsys, "gen", "random", "--m", "10000000", "--n", "5000000", "--edges", "10", "--out", str(path)
+        )
+        assert code == EXIT_BUDGET
+        assert "vertex slots" in err
+        assert not path.exists()
+
 
 class TestColor:
     def test_single_run(self, tmp_path, capsys):

@@ -12,7 +12,8 @@ from hgcolor import (
     uniformity,
     validate,
 )
-from hgcolor.generators import EDGE_BUDGET, _comb_capped
+from hgcolor import generators
+from hgcolor.generators import SLOT_BUDGET, _comb_capped
 
 
 class TestComplete:
@@ -28,10 +29,18 @@ class TestComplete:
 
     def test_budget(self):
         # C(10**7, 5 * 10**6) has about 3 million digits: the budget check
-        # must refuse it without building it
-        for m, n in [(40, 20), (10**7, 5 * 10**6)]:
+        # must refuse it without building it. C(4000, 3999) is only 4,000
+        # edges, but they hold about 16 million vertex slots.
+        for m, n in [(40, 20), (10**7, 5 * 10**6), (4000, 3999)]:
             with pytest.raises(BudgetExceededError, match=f"C\\({m}, {n}\\)"):
                 gen_complete_uniform(m, n)
+
+    def test_budget_counts_vertex_slots(self, monkeypatch):
+        monkeypatch.setattr(generators, "SLOT_BUDGET", 30)
+        assert gen_complete_uniform(5, 3).edge_count == 10  # 30 slots
+        assert gen_complete_uniform(6, 5).edge_count == 6  # 30 slots
+        with pytest.raises(BudgetExceededError, match="budget 30 vertex slots"):
+            gen_complete_uniform(7, 6)  # 42 slots
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -70,8 +79,16 @@ class TestRandom:
             gen_random_uniform(40, 20, -1, seed=0)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            gen_random_uniform(10**7, 5 * 10**6, EDGE_BUDGET + 1, seed=0)
+        n = 5 * 10**6
+        for edge_count in (SLOT_BUDGET // n + 1, 10, 10**6 + 1):
+            with pytest.raises(BudgetExceededError, match="vertex slots"):
+                gen_random_uniform(10**7, n, edge_count, seed=0)
+
+    def test_budget_counts_vertex_slots(self, monkeypatch):
+        monkeypatch.setattr(generators, "SLOT_BUDGET", 30)
+        assert gen_random_uniform(40, 3, 10, seed=0).edge_count == 10  # 30 slots
+        with pytest.raises(BudgetExceededError, match="^11 edges of 3 vertices exceed budget 30"):
+            gen_random_uniform(40, 3, 11, seed=0)
 
 
 def test_capped_binomial():
