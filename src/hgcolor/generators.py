@@ -56,6 +56,9 @@ def gen_random_uniform(m: int, n: int, edge_count: int, seed: int) -> Hypergraph
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
     if edge_count < 0:
         raise ValueError(f"need a nonnegative edge count, got {edge_count}")
+    # drawing an edge may list all m vertices, so m counts against the budget too
+    if m > SLOT_BUDGET:
+        raise BudgetExceededError(f"{m} vertices exceed budget {SLOT_BUDGET} vertex slots")
     # all C(m, n) edges are listed up to this many; the count is exact up to
     # it, and past it already exceeds edge_count
     pool_limit = max(4 * edge_count, 4096)

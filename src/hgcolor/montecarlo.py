@@ -6,6 +6,14 @@ are integer sums, which merge exactly in any order. Proportions carry 95%
 and 99% Wilson intervals (well behaved at estimates of 0 and 1, which
 non-colorable and trivially colorable instances produce).
 
+Trial i's stream is that of ``default_rng([seed, i])``, produced without
+building that object: :func:`_trial_generators` runs numpy's SeedSequence
+hash over the 32-bit words of seed and i for a chunk of trials at once, in
+uint32 numpy arithmetic, derives each trial's PCG64 state the way PCG64
+seeds itself, and loads it, with no buffered 32-bit draw, into one reused
+Generator. The tests compare its streams with default_rng's (numpy 2.4.6
+when written); the equitable baseline draws through it too.
+
 Trials run in batches: the rows of one (trials x vertices) array of birth
 times, row i still drawn from (master seed, i). :meth:`_TrialEngine.run`
 calls its stages in order, each a method from arrays to arrays.
@@ -367,13 +375,126 @@ class _TrialEngine:
                 np.einsum("ij,ij->i", meets, t_open >= self.part_hi))
 
 
+# numpy's SeedSequence hash, which default_rng([seed, i]) runs on the 32-bit
+# words of seed and then of i: a pool of four words, and hash steps whose
+# constants follow fixed chains, init * mult**k mod 2**32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# trials hashed at once by _trial_generators
+_SEED_CHUNK = 1 << 10
+
+
+def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < length, as a column."""
+    chain = [init]
+    while len(chain) < length:
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+# Hash step k xors with a chain's k-th constant and multiplies by the next.
+# Entropy of L words takes max(16, 4L) steps of chain A, so the one below
+# serves up to 15 words; the pool's 8 output words take 8 steps of chain B.
+_HASH_A = _hash_chain(_INIT_A, _MULT_A, 61)
+_HASH_B = _hash_chain(_INIT_B, _MULT_B, 9)
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of n, least significant first; 0 is one word."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """Consecutive hash steps, one per row of the result: each xors with its
+    constant in `chain` and multiplies by the next one."""
+    x = values ^ chain[:-1]
+    x *= chain[1:]
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L - y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+def _pcg64_states(seed: int, start: int, stop: int):
+    """The PCG64 (state, inc) of default_rng([seed, i]) for i in start..stop - 1,
+    which share every 32-bit word of i past the lowest.
+
+    Each column of `entropy` is one i's words, so the SeedSequence hash runs
+    once per chunk over all its columns. PCG64 seeds from the hash's four
+    64-bit words as inc = (w2 * 2**64 + w3) * 2 + 1 and s = w0 * 2**64 + w1,
+    then steps its LCG twice: state = (inc + s) * mult + inc mod 2**128.
+    """
+    count = stop - start
+    seed_words = _words(seed)
+    high = start >> 32
+    entropy = np.array(seed_words + [0] + (_words(high) if high else []), dtype=np.uint32)
+    entropy = entropy[:, None].repeat(count, axis=1)
+    low = start & 0xFFFFFFFF
+    entropy[len(seed_words)] = np.arange(low, low + count, dtype=np.uint32)
+    chain_a = _HASH_A
+    if len(chain_a) <= _POOL_SIZE * len(entropy):
+        chain_a = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy) + 1)
+    # the pool takes the first four words (zeros past the entropy), and each
+    # pool word is then mixed with a hash of every other one
+    pool = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, chain_a[: _POOL_SIZE + 1])
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain_a[step: step + _POOL_SIZE]))
+        step += _POOL_SIZE - 1
+    # entropy past the pool's four words is mixed into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, chain_a[step: step + _POOL_SIZE + 1]))
+        step += _POOL_SIZE
+    out = _hashmix(np.concatenate((pool, pool)), _HASH_B)
+    # generate_state(4, uint64) reads the 8 words as 4 little-endian pairs
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _trial_generators(seed: int, start: int, stop: int):
+    """Trials start..stop - 1 in order, each as one reused Generator loaded
+    with the PCG64 state of default_rng([seed, i]), so it draws trial i's
+    stream without building that object; use each before the next is
+    yielded. Hashes _SEED_CHUNK trials at a time, so memory stays flat."""
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    state = {"state": 0, "inc": 0}
+    # no buffered 32-bit half of a draw passes from one trial to the next
+    loaded = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo + _SEED_CHUNK, ((lo >> 32) + 1) << 32)
+        for state["state"], state["inc"] in _pcg64_states(seed, lo, hi):
+            bit_gen.state = loaded
+            yield gen
+        lo = hi
+
+
 def _run_range(engine: _TrialEngine, seed: int, start: int, stop: int) -> tuple[int, ...]:
     totals = [0] * len(_Column)
     times = np.empty((engine.batch, engine.v_count))
+    gens = _trial_generators(seed, start, stop)
     for lo in range(start, stop, engine.batch):
         block = times[: min(engine.batch, stop - lo)]
-        for i, row in enumerate(block, start=lo):
-            np.random.default_rng([seed, i]).random(out=row)
+        for row, gen in zip(block, gens):
+            gen.random(out=row)
         # Python ints: chain counts near the int64 limit would wrap in numpy
         totals = [t + sum(c) for t, c in zip(totals, engine.run(block).T.tolist())]
     return tuple(totals)
@@ -517,9 +638,11 @@ def baseline_equitable_success(
     h.require_valid()
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     succ = sum(
-        not _has_monochromatic_edge(h, equitable_partition_color(h, [seed, i], r).colors)
-        for i in range(trials)
+        not _has_monochromatic_edge(h, equitable_partition_color(h, gen, r).colors)
+        for gen in _trial_generators(seed, 0, trials)
     )
     return _estimate(succ, trials)
 

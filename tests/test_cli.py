@@ -43,6 +43,17 @@ class TestGen:
         assert "vertex slots" in err
         assert not path.exists()
 
+    def test_many_vertices_exceed_the_budget(self, tmp_path, capsys):
+        # one edge of 10**7 vertices fills the slot budget exactly, but each
+        # edge draw may list all 4 * 10**8 vertices
+        path = tmp_path / "x.hg"
+        code, _, err = run(
+            capsys, "gen", "random", "--m", "400000000", "--n", "10000000", "--edges", "1", "--out", str(path)
+        )
+        assert code == EXIT_BUDGET
+        assert "400000000 vertices exceed budget" in err
+        assert not path.exists()
+
 
 class TestColor:
     def test_single_run(self, tmp_path, capsys):

@@ -86,9 +86,18 @@ class TestRandom:
 
     def test_budget_counts_vertex_slots(self, monkeypatch):
         monkeypatch.setattr(generators, "SLOT_BUDGET", 30)
-        assert gen_random_uniform(40, 3, 10, seed=0).edge_count == 10  # 30 slots
+        assert gen_random_uniform(30, 3, 10, seed=0).edge_count == 10  # 30 slots
         with pytest.raises(BudgetExceededError, match="^11 edges of 3 vertices exceed budget 30"):
-            gen_random_uniform(40, 3, 11, seed=0)
+            gen_random_uniform(30, 3, 11, seed=0)
+
+    def test_budget_counts_vertices(self, monkeypatch):
+        # an edge drawn out of m vertices may list all of them
+        monkeypatch.setattr(generators, "SLOT_BUDGET", 30)
+        assert gen_random_uniform(30, 2, 1, seed=0).vertex_count == 30
+        with pytest.raises(BudgetExceededError, match="^31 vertices exceed budget 30"):
+            gen_random_uniform(31, 2, 1, seed=0)
+        with pytest.raises(BudgetExceededError, match="^31 vertices"):
+            gen_random_uniform(31, 2, 0, seed=0)
 
 
 def test_capped_binomial():

@@ -181,6 +181,10 @@ class TestEquitableBaseline:
         rep = baseline_equitable_success(h, r, 500, seed=7)
         assert (rep.trials, rep.successes) == (500, successes)
 
+    def test_seed_required_nonnegative(self, fano):
+        with pytest.raises(ValueError, match="nonnegative"):
+            baseline_equitable_success(fano, 2, 10, seed=-1)
+
     def test_monochromatic_check_agrees_with_is_proper(self):
         """The baseline's early-stopping test answers as is_proper does."""
         from hypothesis import given, settings
@@ -759,6 +763,72 @@ def test_pool_context_falls_back_without_fork(monkeypatch):
     assert montecarlo._pool_context().get_start_method() in mp.get_all_start_methods()
     monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
     assert montecarlo._pool_context() is mp.get_context()
+
+
+# Trial i's stream is default_rng([seed, i]); _trial_generators loads its
+# PCG64 state instead of building that object. Seeds of one word to five
+# (past four, the hash mixes in the extra words), and index ranges whose i
+# gain a word: at 2^32 and at 2^64.
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 7]
+_STARTS = [0, 2**32 - 3, 2**64 - 3]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("start", _STARTS)
+def test_trial_generators_draw_default_rng_streams(seed, start):
+    stop = start + 6
+    for i, gen in zip(range(start, stop), montecarlo._trial_generators(seed, start, stop), strict=True):
+        assert np.array_equal(gen.random(11), np.random.default_rng([seed, i]).random(11)), i
+
+
+@pytest.mark.parametrize("seed", [0, 2**130 + 7])
+def test_trial_generators_reset_the_32_bit_buffer(seed):
+    """choice and permutation draw 32-bit halves of 64-bit outputs and
+    keep the spare one; a loaded trial starts with none, as a fresh
+    generator does."""
+    for i, gen in zip(range(40), montecarlo._trial_generators(seed, 0, 40), strict=True):
+        ref = np.random.default_rng([seed, i])
+        for size in (1, 2, 3):
+            assert np.array_equal(gen.choice(5, size=size, replace=False),
+                                  ref.choice(5, size=size, replace=False)), (i, size)
+        assert np.array_equal(gen.permutation(7), ref.permutation(7)), i
+
+
+def test_trial_generators_match_default_rng():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    near = lambda x: st.integers(max(0, x - 20), x + 20)  # noqa: E731
+
+    @given(
+        # seed and index words past 15 outgrow the hash constants kept at import
+        seed=st.one_of(st.integers(0, 2**32 + 5), st.integers(0, 2**600)),
+        start=st.one_of(near(0), near(2**32), near(2**64), st.integers(0, 2**96)),
+        count=st.integers(0, 30),
+        chunk=st.integers(1, 8),
+    )
+    @settings(max_examples=120, deadline=None)
+    def check(seed, start, count, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_SEED_CHUNK", chunk)
+            got = [gen.random(3) for gen in montecarlo._trial_generators(seed, start, start + count)]
+        assert len(got) == count
+        for i, row in enumerate(got, start=start):
+            assert np.array_equal(row, np.random.default_rng([seed, i]).random(3)), i
+
+    check()
+
+
+def test_run_range_across_two_to_the_32():
+    """A range of trials whose index gains a word counts what the engine
+    counts on the rows of default_rng([seed, i])."""
+    from hgcolor.montecarlo import _run_range, _TrialEngine
+
+    h = gen_random_uniform(60, 5, 300, seed=1)
+    engine = _TrialEngine(h, 3, reference_p(5), True, 10**6)
+    start, stop = 2**32 - 3, 2**32 + 4
+    times = np.array([np.random.default_rng([12, i]).random(h.vertex_count) for i in range(start, stop)])
+    assert _run_range(engine, 12, start, stop) == tuple(engine.run(times).sum(axis=0).tolist())
 
 
 def test_any_conflicting_pair_probability_below_optimized_bound():
