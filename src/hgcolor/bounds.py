@@ -93,6 +93,8 @@ def _max_feasible(feasible, lo: float = 0.0, hi0: float = 1.0, tol: float = SEAR
             raise NumericRangeError("feasibility search ran away")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # adjacent floats, still more than tol apart
+            break
         if feasible(mid):
             lo = mid
         else:

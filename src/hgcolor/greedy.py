@@ -58,15 +58,23 @@ class _EdgeState:
     A color j is blocked for v exactly when v is the last uncolored vertex of
     an edge whose other vertices all have color j; an edge made of v alone
     blocks every color. Blocked sets are bitmasks with bit j for color j.
+
+    A vertex closes at most its degree of edges, so the rule picks no color
+    past the largest degree + 1, and a larger r is cut there: only an edge of
+    v alone blocks every color, as the mask -1, and a forced vertex takes
+    color r, which no other vertex can, so its edges are marked mixed
+    (`forced_mark`) and no mask holds bit r.
     """
 
-    __slots__ = ("incidence", "seen", "left", "all_blocked")
+    __slots__ = ("incidence", "seen", "left", "all_blocked", "forced_mark")
 
     def __init__(self, h: Hypergraph, r: int):
         self.incidence = h.incidence
         self.seen = [_NONE] * h.edge_count
         self.left = list(h.edge_sizes)
-        self.all_blocked = ((1 << r) - 1) << 1
+        cut = r > max(map(len, h.incidence), default=0) + 1
+        self.all_blocked = -1 if cut else ((1 << r) - 1) << 1
+        self.forced_mark = _MIXED if cut else r
 
     def blocked(self, v: int) -> int:
         """Bitmask of the colors that would complete a monochromatic edge."""
@@ -135,11 +143,10 @@ def _run(
             forced.append(v)
             if stop_at_forced:
                 break
-            choice = r
+            colors[v], mark = r, state.forced_mark
         else:
-            choice = _first_free(blocked)
-        colors[v] = choice
-        place(v, choice)
+            colors[v] = mark = _first_free(blocked)
+        place(v, mark)
     return forced
 
 

@@ -43,11 +43,12 @@ trial count, and reports do not depend on how trials split into batches.
 
 :func:`monte_carlo` builds one :class:`_TrialEngine` per call and splits the
 trials into contiguous ranges. With one worker it runs them all in-process.
-With more, it times a first share in-process and starts a pool for the rest
-only if the pool would save more time than the last pool in this process
-took to start and stop; each pool worker gets a pickled copy of the
-parent's engine, which holds the arrays its batches read and not the
-hypergraph, and one range.
+With more, it times a first share in-process, at least one batch, and starts
+a pool for the rest only if spreading the rest over the workers at the
+share's pace would save more than ``_POOL_OVERHEAD_S``, a fixed figure for a
+pool's overhead: whether a call forks reads that call alone. Each pool
+worker gets a pickled copy of the parent's engine, which holds the arrays
+its batches read and not the hypergraph, and one range.
 """
 
 from __future__ import annotations
@@ -506,16 +507,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Seconds the last pool in this process took to start and to stop, without
-# the work it ran; 0 until a pool has run.
-_last_pool_seconds = 0.0
-
-
-def _pool_cost() -> float:
-    """What starting and stopping a pool is expected to cost: the last
-    pool's figure, or 0 before the first, so the first call that can use a
-    pool starts one and measures it."""
-    return _last_pool_seconds
+# Seconds a pool costs beyond its work: start, fork, engine pickle, the
+# workers' first calls and stop. On a shared 2-vCPU VM a 2-worker pool of one
+# trial per worker took 17-18 ms (median of 21), and pools running 40-300 ms
+# of trials lost 18-46 ms to a perfect split of the same work.
+_POOL_OVERHEAD_S = 0.045
 
 
 def _run_pool(
@@ -523,17 +519,10 @@ def _run_pool(
 ) -> list[tuple[int, ...]]:
     """Trials start..stop split into `size` contiguous ranges, one per pool
     worker; each worker receives a pickled copy of the engine."""
-    global _last_pool_seconds
     cuts = np.linspace(start, stop, size + 1, dtype=int)
     jobs = [(engine, seed, int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
-    t0 = time.perf_counter()
-    pool = _pool_context().Pool(size)
-    started = time.perf_counter()
-    with pool:
-        parts = pool.starmap(_run_range, jobs)
-        finished = time.perf_counter()
-    _last_pool_seconds = started - t0 + time.perf_counter() - finished
-    return parts
+    with _pool_context().Pool(size) as pool:
+        return pool.starmap(_run_range, jobs)
 
 
 def _pool_context():
@@ -585,16 +574,17 @@ def monte_carlo(
         p = default_p(h)
     engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
     # reports do not depend on how the trials split, so the split follows
-    # measured cost: time a first share in-process, then hand the rest to a
-    # pool only if that saves more than a pool costs to start and stop
+    # measured cost: time a first share in-process, 1 / (2 * size) of the
+    # trials but at least one batch (so a call of one batch runs whole), then
+    # hand the rest to a pool only if that saves more than a pool's overhead
     size = min(workers, trials, _usable_cpus())
-    done = trials if size == 1 else ceil(trials / (2 * size))
+    done = trials if size == 1 else min(trials, max(ceil(trials / (2 * size)), engine.batch))
     t0 = time.perf_counter()
     parts = [_run_range(engine, seed, 0, done)]
     left = trials - done
     size = min(size, left)
     in_process = (time.perf_counter() - t0) * left / done
-    if size > 1 and in_process * (1 - 1 / size) > _pool_cost():
+    if size > 1 and in_process * (1 - 1 / size) > _POOL_OVERHEAD_S:
         parts += _run_pool(engine, seed, done, trials, size)
     elif left:
         parts.append(_run_range(engine, seed, done, trials))

@@ -6,7 +6,7 @@ from hgcolor import Hypergraph, gen_fano
 
 def count_pools(monkeypatch, context=None):
     """Make monte_carlo hand every trial after its timed first share to a
-    pool, as if pools cost nothing to start, let it see four usable CPUs,
+    pool, as if pools cost nothing, let it see four usable CPUs,
     and record the size of every pool it starts (through `context`, else
     its own start method)."""
     from hgcolor import montecarlo
@@ -19,7 +19,7 @@ def count_pools(monkeypatch, context=None):
             sizes.append(processes)
             return base.Pool(processes)
 
-    monkeypatch.setattr(montecarlo, "_pool_cost", lambda: float("-inf"))
+    monkeypatch.setattr(montecarlo, "_POOL_OVERHEAD_S", float("-inf"))
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(montecarlo, "_pool_context", Counting)
     return sizes

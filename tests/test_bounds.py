@@ -24,6 +24,7 @@ from hgcolor import (
 )
 from hgcolor.bounds import (
     _lll_weights,
+    _max_feasible,
     log1mexp,
     log_neg_log1mexp,
     min_two_color_bound,
@@ -163,6 +164,25 @@ class TestMaxK2col:
         ratio = max_k_2col(n) / sqrt(n / log(n))
         assert 1.0 <= ratio <= 1.5
         assert ratio == pytest.approx(1.23851, abs=1e-3)
+
+
+class TestMaxFeasible:
+    def test_search_ends_between_adjacent_floats(self):
+        # near 1e17 adjacent floats lie 16 apart, far above the tolerance,
+        # so the bisection ends on the largest feasible float
+        assert _max_feasible(lambda x: x < 1e17) == math.nextafter(1e17, 0.0)
+
+    @pytest.mark.parametrize("n", [10**11, 10**16])
+    def test_huge_n_returns_certified_values(self, n):
+        assert min_two_color_bound(max_k_2col(n), n) < 1.0
+        p = reference_p(n)
+        for r in (2, 3):
+            k = max_k_rcol(n, r)
+            assert expected_short_edges(k, n, r, p) + expected_conflicting_chains(k, n, r, p) < 1.0
+            cert = max_degree_lll(n, r)
+            recheck = lll_feasible_ab(cert.log_p1, cert.log_p2, cert.log_D, r, cert.a, cert.b)
+            assert recheck.feasible
+            assert min(recheck.log_slack1, recheck.log_slack2) >= 0.0
 
 
 class TestPairConflictProbability:

@@ -146,6 +146,22 @@ class TestOracle:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["color", "oracle"])
+    def test_huge_color_count_ends_in_an_exit_code(self, tmp_path, capsys, command):
+        # the greedy edge state cuts the colors at the largest degree + 1,
+        # so r = 10^20 builds no 10^20-bit mask
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        flags = ["--oracle-budget", "1000"] if command == "oracle" else []
+        code, out, err = run(capsys, command, "--in", str(path), "--r", str(10**20), *flags)
+        assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_BUDGET)
+        assert "Traceback" not in err
+        payload = json.loads(out)
+        if command == "color":
+            assert payload["proper"] and payload["forced_vertices"] == []
+        else:
+            assert payload["colorable"] and payload["orderings"]["probability"] == "1/1"
+
     @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET", "HGCOLOR_CHAIN_CEILING"])
     def test_non_integer_env_var(self, monkeypatch, capsys, name):
         monkeypatch.setenv(name, "lots")
@@ -341,6 +357,14 @@ class TestBounds:
         assert code == EXIT_INVARIANT
         assert message in err and "Traceback" not in err
         assert out == "" and not csv_path.exists() and not svg.exists()
+
+    @pytest.mark.parametrize("n", ["100000000000", "10000000000000000"])
+    def test_huge_n_returns(self, capsys, n):
+        # the bisections end between adjacent floats instead of looping
+        code, out, err = run(capsys, "bounds", "--n", n, "--r", "2,3")
+        assert code == EXIT_OK and err == ""
+        rows = experiment.bound_table_from_csv(out)
+        assert len(rows) == 2 and not any(row.error for row in rows)
 
     @pytest.mark.parametrize("r", ["0", "1"])
     def test_color_count_below_two_rejected(self, capsys, r):

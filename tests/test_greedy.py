@@ -110,6 +110,50 @@ def test_trace_invariants(hwt, r):
     assert greedy_succeeds(h, t.order(), r) == ok
 
 
+def _uncut_greedy(h, order, r):
+    """The greedy rule read off the edges over all r colors: the colors and
+    the forced vertices."""
+    colors = [0] * h.vertex_count
+    forced = []
+    for v in order:
+        blocked = set()
+        for ei in h.incidence[v]:
+            rest = {colors[u] for u in h.edges[ei] if u != v}
+            if not rest:
+                blocked.update(range(1, r + 1))
+            elif len(rest) == 1 and 0 not in rest:
+                blocked |= rest
+        free = [j for j in range(1, r + 1) if j not in blocked]
+        colors[v] = free[0] if free else r
+        if not free:
+            forced.append(v)
+    return colors, forced
+
+
+@given(hypergraphs_with_times(max_edge_size=3), st.integers(2, 9))
+@settings(max_examples=200)
+def test_color_cut_matches_the_uncut_rule(hwt, r):
+    """Cutting the colors at the largest degree + 1 changes no color and
+    no forced vertex, singleton edges included."""
+    h, times = hwt
+    order = BirthTimeAssignment(times).order()
+    trace = greedy_color_by_permutation(h, order, r)
+    colors, forced = _uncut_greedy(h, order, r)
+    assert list(trace.coloring.colors) == colors
+    assert list(trace.forced_vertices) == forced
+    assert greedy_succeeds(h, order, r) == (not forced)
+
+
+def test_huge_color_count():
+    # a singleton edge forces its vertex to color r, which the edge state
+    # never writes as a bit
+    h = Hypergraph(3, [(0,), (0, 1), (1, 2)])
+    r = 10**20
+    trace = greedy_color_by_permutation(h, [0, 1, 2], r)
+    assert trace.coloring.colors == (r, 1, 2)
+    assert trace.forced_vertices == (0,)
+
+
 class TestTwoPhase:
     def test_near_one_p_degenerates_to_greedy(self, fano):
         t = sample_birth_times(7, 3)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from hgcolor.montecarlo import Z95, Z99, default_p
 from hgcolor.suite import fixed_suite
 
 from conftest import count_pools
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestWilson:
@@ -102,8 +108,10 @@ class TestMonteCarlo:
 
     def test_costly_pool_not_started(self, monkeypatch, fano):
         serial = monte_carlo(fano, 3, 400, seed=8, count_chains=True)
+        # batches of 100 trials, so the call splits and the overhead decides
+        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 21 * 100)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(montecarlo, "_pool_cost", lambda: float("inf"))
+        monkeypatch.setattr(montecarlo, "_POOL_OVERHEAD_S", float("inf"))
 
         def no_pool():
             raise AssertionError("a pool that saves less than it costs started")
@@ -111,15 +119,23 @@ class TestMonteCarlo:
         monkeypatch.setattr(montecarlo, "_pool_context", no_pool)
         assert monte_carlo(fano, 3, 400, seed=8, count_chains=True, workers=2) == serial
 
-    def test_first_pool_measures_its_cost(self, monkeypatch, fano):
-        # before any pool has run, a pool is taken to cost nothing, so a call
-        # with a second worker starts one and records what it cost
-        monkeypatch.setattr(montecarlo, "_last_pool_seconds", 0.0)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        serial = monte_carlo(fano, 2, 40, seed=3)
-        assert montecarlo._last_pool_seconds == 0.0
-        assert monte_carlo(fano, 2, 40, seed=3, workers=2) == serial
-        assert montecarlo._last_pool_seconds > 0.0
+    def test_cheap_call_starts_no_pool_in_a_fresh_process(self):
+        # whether a call forks reads that call alone, so the first call of a
+        # process is judged like any other; batches of four trials make the
+        # call split, and its 30 trials left save far less than a pool costs
+        code = (
+            "from hgcolor import gen_fano, montecarlo\n"
+            "def no_pool():\n"
+            "    raise AssertionError('a pool started for 40 Fano trials')\n"
+            "montecarlo._pool_context = no_pool\n"
+            "montecarlo._usable_cpus = lambda: 2\n"
+            "montecarlo._BATCH_ELEMENTS = 21 * 4\n"
+            "montecarlo.monte_carlo(gen_fano(), 2, 40, seed=3, workers=2)\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_worker_count_capped_by_trials(self, fano):
         # at most min(workers, trials, usable CPUs) processes: of two trials
