@@ -7,8 +7,11 @@ over dependency degree D. Quantities like r^n and D^r dwarf the float range
 at interesting n, so every product with such exponents is a sum of logs;
 weights x = 1 - e^(-a/D) and y = 1 - e^(-b/(r D^r)) are handled through
 (a, b) so that D log(1-x) = -a and r D^r log(1-y) = -b stay exact. For
-fixed s = a + b the least feasible a and b have closed forms, so the
-search for weights at a given D is exact and one-dimensional in s.
+fixed s = a + b the least feasible a and b have closed forms, and the
+slack s - a - b they leave is concave in s, so the weights at a given D
+sit where its slope changes sign. The bisection _max_feasible is the
+module's one search: it finds that point, the largest D and the
+edge-count coefficients.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from math import exp, expm1, inf, isfinite, log, log1p
 
 from .errors import NumericRangeError
 
-GOLDEN_TOL = 1e-12
 SEARCH_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def reference_p(n: int) -> float:
@@ -39,24 +40,6 @@ def two_color_bound(k: float, p: float, n: int) -> float:
         raise ValueError(f"invalid arguments k={k}, p={p}, n={n}")
     first = 0.0 if p >= 1.0 else k * exp(n * log1p(-p))
     return first + k * k * p
-
-
-def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 @dataclass(frozen=True)
@@ -236,6 +219,13 @@ def log_neg_log1mexp(t: float) -> float:
     return log(-log1p(-exp(t)))
 
 
+def log_odds(t: float) -> float:
+    """log(e^t / (1 - e^t)), stable for t < 0; +inf for t >= 0."""
+    if t >= 0.0:
+        return inf
+    return t - log(-expm1(t))
+
+
 @dataclass(frozen=True)
 class LLLFeasibility:
     feasible: bool
@@ -344,39 +334,40 @@ def _lll_weights(log_p1: float, log_p2: float, log_D: float, r: int) -> tuple[fl
     """Weights (a, b) passing both lemma conditions at D, or None if none do.
 
     At s = a + b the conditions read a >= A(s) = -D log(1 - P1 e^s) and
-    b >= B(s) = -r D^r log(1 - P2 e^(rs)), so weights exist iff
-    s > A(s) + B(s) for some s. A and B are convex and increasing, so
-    s / (A + B) is quasi-concave on (0, s_max) and golden section finds its
-    maximum. The slack s - A - B is split evenly between a and b, which keeps
-    both positive where A or B underflows.
+    b >= B(s) = -r D^r log(1 - P2 e^(rs)), so weights exist iff the slack
+    s - A(s) - B(s) is positive for some s. A and B are convex, so the slack
+    is concave on [0, s_max) and peaks where A'(s) + B'(s) = 1, with
+    A' = D P1 e^s / (1 - P1 e^s) and B' = r^2 D^r P2 e^(rs) / (1 - P2 e^(rs));
+    _max_feasible bisects for that point. The slack is split evenly between
+    a and b, which keeps both positive where A or B underflows.
     """
     log_r = log(r)
+    s_max = min(-log_p1, -log_p2 / r)
 
-    def log_ab(s: float) -> tuple[float, float]:
-        return (
-            log_D + log_neg_log1mexp(s + log_p1),
-            log_r + r * log_D + log_neg_log1mexp(r * s + log_p2),
-        )
+    def rising(s: float) -> bool:
+        # A'(s) + B'(s) < 1, that is e^(log B') < 1 - e^(log A'), in logs; at
+        # s_max, r s + log P2 may round below 0 by far more than 1
+        log_da = log_D + log_odds(s + log_p1)
+        log_db = 2.0 * log_r + r * log_D + log_odds(r * s + log_p2)
+        return s < s_max and log_da < 0.0 and log_db < log(-expm1(log_da))
 
-    def log_ratio(s: float) -> float:
-        # log((A + B) / s), the sum taken in logs
-        lo, hi = sorted(log_ab(s))
-        return hi + log1p(exp(lo - hi)) - log(s)
-
-    s, best = _golden_min(log_ratio, 0.0, min(-log_p1, -log_p2 / r))
-    if best >= 0.0:
+    s = _max_feasible(rising, 0.0, s_max)
+    log_a = log_D + log_neg_log1mexp(s + log_p1)
+    log_b = log_r + r * log_D + log_neg_log1mexp(r * s + log_p2)
+    # A or B alone at least s leaves no slack; testing in logs keeps exp in range
+    if s == 0.0 or max(log_a, log_b) >= log(s):
         return None
-    log_a, log_b = log_ab(s)
-    half_slack = -s * expm1(best) / 2.0
-    return exp(log_a) + half_slack, exp(log_b) + half_slack
+    a, b = exp(log_a), exp(log_b)
+    slack = s - a - b
+    return (a + slack / 2.0, b + slack / 2.0) if slack > 0.0 else None
 
 
 def max_degree_lll(n: int, r: int, tol: float = 1e-6) -> LLLParams:
     """Largest dependency degree D certified colorable by the local lemma.
 
     Binary search on log D to within tol; at each candidate the weights
-    (a, b) come from the exact one-dimensional search of _lll_weights and
-    are re-checked through lll_feasible_ab, so the result certifies with
+    (a, b) come from the peak of the slack found by _lll_weights and are
+    re-checked through lll_feasible_ab, so the result certifies with
     nonnegative slack.
     """
     log_p1, log_p2 = structure_log_probabilities(n, r)

@@ -21,8 +21,14 @@ no singleton edge, the first vertex found with every color 1..r blocked
 closes an edge e_r whose other vertices all have color r. The first of
 them took r with r - 1 blocked, so it closes an edge e_{r-1} whose other
 vertices have color r - 1, and so on down to e_1: a conflicting r-chain.
-The Monte Carlo engine counts these walks without a meet test, and
-sweeps only the trials that have one. Its two scalar references,
+Forced-vertex certificate: that run also has an edge e with at least r
+edges closing where e closes, at least r - 1 closing at each vertex of e,
+and one closing where e opens (meets[e] > 0 in the engine). Proof: take
+e = e_r. Its last vertex v has its r colors blocked by r edges closing at
+v (an edge blocks one color). Every other vertex u of e took r unforced,
+so 1..r-1 were blocked at u by r - 1 edges closing at u, and first(e) is
+such a u. The Monte Carlo engine counts conflicting walks without a meet
+test, and sweeps only the trials that have one. Its two scalar references,
 :func:`conflicting_chains` (the last -> first matches) and the filter over
 :func:`enumerate_chains` (every single-vertex meet, the scan
 :func:`dangerous_pairs` reads), share one depth-first walk,

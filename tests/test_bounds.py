@@ -27,10 +27,12 @@ from hgcolor.bounds import (
     _max_feasible,
     log1mexp,
     log_neg_log1mexp,
+    log_odds,
     min_two_color_bound,
     reference_p,
     structure_log_probabilities,
 )
+from hgcolor.experiment import bound_table
 
 
 class TestTwoColorBound:
@@ -172,7 +174,7 @@ class TestMaxFeasible:
         # so the bisection ends on the largest feasible float
         assert _max_feasible(lambda x: x < 1e17) == math.nextafter(1e17, 0.0)
 
-    @pytest.mark.parametrize("n", [10**11, 10**16])
+    @pytest.mark.parametrize("n", [10**11, 10**16, 10**20, 10**22])
     def test_huge_n_returns_certified_values(self, n):
         assert min_two_color_bound(max_k_2col(n), n) < 1.0
         p = reference_p(n)
@@ -183,6 +185,26 @@ class TestMaxFeasible:
             recheck = lll_feasible_ab(cert.log_p1, cert.log_p2, cert.log_D, r, cert.a, cert.b)
             assert recheck.feasible
             assert min(recheck.log_slack1, recheck.log_slack2) >= 0.0
+
+    @given(st.floats(log(3.0), log(1e22)), st.integers(2, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_bound_table_cells_certify_or_name_the_range_error(self, log_n, r):
+        # n log-uniform in [3, 10^22]: every cell either re-certifies or
+        # holds the message of the NumericRangeError its searches raise
+        n = max(3, round(exp(log_n)))
+        (row,) = bound_table([n], [r])
+        if row.error is None:
+            log_p1, log_p2 = structure_log_probabilities(n, r)
+            cert = max_degree_lll(n, r)
+            assert row.lll_log10_D == cert.log_D / log(10)
+            assert lll_feasible_ab(log_p1, log_p2, cert.log_D, r, cert.a, cert.b).feasible
+        else:
+            with pytest.raises(NumericRangeError) as exc:
+                if r == 2:
+                    max_k_2col(n)
+                max_k_rcol(n, r)
+                max_degree_lll(n, r)
+            assert str(exc.value) == row.error
 
 
 class TestPairConflictProbability:
@@ -389,6 +411,24 @@ class TestLogNegLog1mexp:
         assert log_neg_log1mexp(1.0) == math.inf
 
 
+class TestLogOdds:
+    def test_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(400):
+            for t in (-800.0, -37.5, -1.0, -1e-3, -1e-300):
+                e = mpmath.exp(mpmath.mpf(t))
+                want = float(mpmath.log(e / (1 - e)))
+                assert log_odds(t) == pytest.approx(want, rel=1e-13)
+
+    def test_edges(self):
+        assert log_odds(0.0) == math.inf
+        assert log_odds(1.0) == math.inf
+        # 1 - e^t rounds to 0 or e^t to 0 under direct evaluation here
+        assert log_odds(-1e-300) == pytest.approx(690.7755278982137, rel=1e-15)
+        assert log_odds(-800.0) == -800.0
+
+
 # a dense log grid of local-lemma weights: 2^(k/8) for k = -80 .. 8
 _WEIGHT_GRID = [2.0 ** (k / 8) for k in range(-80, 9)]
 
@@ -408,7 +448,30 @@ def _grid_feasible(log_p1, log_p2, log_D, r, grid=_WEIGHT_GRID):
     return any(lll_feasible_ab(log_p1, log_p2, log_D, r, a, b).feasible for a in grid for b in grid)
 
 
+def _weights_slack(log_p1, log_p2, log_D, r, s):
+    """s - A(s) - B(s) of _lll_weights, or -inf where A or B overflows."""
+    log_a = log_D + log_neg_log1mexp(s + log_p1)
+    log_b = log(r) + r * log_D + log_neg_log1mexp(r * s + log_p2)
+    if max(log_a, log_b) > 700.0:
+        return -math.inf
+    return s - exp(log_a) - exp(log_b)
+
+
 class TestLLLWeights:
+    @given(st.integers(3, 2000), st.integers(2, 12), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_sit_at_the_peak_of_the_slack(self, n, r, frac):
+        log_p1, log_p2 = structure_log_probabilities(n, r)
+        log_D = -log_p1 * frac
+        weights = _lll_weights(log_p1, log_p2, log_D, r)
+        assume(weights is not None)
+        s = sum(weights)
+        peak = _weights_slack(log_p1, log_p2, log_D, r, s)
+        for off in (1e-3, -1e-3):
+            assert _weights_slack(log_p1, log_p2, log_D, r, s * (1.0 + off)) <= peak
+        res = lll_feasible_ab(log_p1, log_p2, log_D, r, *weights)
+        assert res.feasible and res.log_slack1 > 0.0 and res.log_slack2 > 0.0
+
     def test_finds_weights_wherever_the_grid_does(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
@@ -428,6 +491,26 @@ class TestLLLWeights:
         assert lll_feasible_ab(log_p1, log_p2, 0.0, 3, a, b).feasible
 
 
+# log D as certified with weights from a golden-section search of s / (A + B),
+# which bisecting the slope of the slack reproduces bit for bit: the cells of
+# `hgcolor bounds --n 50:500:50 --r 2,3`, and n = 10 and 100 at r = 50 and
+# 1000, where exponentiating log B before comparing it with log s overflows
+_PINNED_LOG_D = [
+    (50, 2, "0x1.07fb76afa489bp+5"), (100, 2, "0x1.0fb00f3e7d824p+6"),
+    (150, 2, "0x1.9af6839a010bap+6"), (200, 2, "0x1.13077a0b2bbfdp+7"),
+    (250, 2, "0x1.5886d1fee5dc8p+7"), (300, 2, "0x1.9dfde826fbe48p+7"),
+    (350, 2, "0x1.e36f3d2ee69e4p+7"), (400, 2, "0x1.146e29b4d97dcp+8"),
+    (450, 2, "0x1.372313471b7a8p+8"), (500, 2, "0x1.59d6b1c4424dep+8"),
+    (50, 3, "0x1.a72e4b36a658dp+5"), (100, 3, "0x1.b0bb0a33cc7dap+6"),
+    (150, 3, "0x1.46a7e6e66366cp+7"), (200, 3, "0x1.b4d3ba6f520a3p+7"),
+    (250, 3, "0x1.11773923afad4p+8"), (300, 3, "0x1.487f182e476aap+8"),
+    (350, 3, "0x1.7f8323c76a191p+8"), (400, 3, "0x1.b6845cc3ae767p+8"),
+    (450, 3, "0x1.ed836a4e82d4ep+8"), (500, 3, "0x1.12405fb507ab1p+9"),
+    (10, 50, "0x1.fe0d0b1d0ca9ap+4"), (100, 50, "0x1.8189a557c6c28p+8"),
+    (10, 1000, "0x1.c02c97b3f7932p+5"), (100, 1000, "0x1.53a9ee4da39b1p+9"),
+]
+
+
 class TestMaxDegreeLLL:
     def test_infeasible_at_unit_degree_is_loud(self):
         with pytest.raises(NumericRangeError):
@@ -443,6 +526,10 @@ class TestMaxDegreeLLL:
     def test_at_least_the_grid_search_degree(self, r):
         for n, old in zip(range(50, 501, 50), _GRID_SEARCH_LOG_D[r]):
             assert max_degree_lll(n, r).log_D >= old, (n, r)
+
+    @pytest.mark.parametrize("n, r, log_d_hex", _PINNED_LOG_D)
+    def test_pinned_degree(self, n, r, log_d_hex):
+        assert max_degree_lll(n, r).log_D == float.fromhex(log_d_hex)
 
     def test_self_certification(self):
         for n, r in [(50, 2), (100, 3), (500, 2)]:

@@ -358,7 +358,9 @@ class TestBounds:
         assert message in err and "Traceback" not in err
         assert out == "" and not csv_path.exists() and not svg.exists()
 
-    @pytest.mark.parametrize("n", ["100000000000", "10000000000000000"])
+    @pytest.mark.parametrize(
+        "n", ["100000000000", "10000000000000000", "100000000000000000000", "10000000000000000000000"]
+    )
     def test_huge_n_returns(self, capsys, n):
         # the bisections end between adjacent floats instead of looping
         code, out, err = run(capsys, "bounds", "--n", n, "--r", "2,3")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hgcolor import (
@@ -19,8 +19,9 @@ from hgcolor import (
     short_edges,
 )
 from hgcolor.conflicts import link_interval_bounds
+from hgcolor.greedy import greedy_succeeds
 
-from conftest import hypergraphs_with_times
+from conftest import hypergraphs, hypergraphs_with_times
 
 
 class TestFirstLast:
@@ -285,3 +286,36 @@ def test_chain_detection_explains_greedy_failures(hwt, r):
             for i, x in enumerate(chain.links, start=1):
                 lo, hi = link_interval_bounds(i, r, p)
                 assert lo <= t[x] <= hi
+
+
+def _forced_vertex_certificate(h, order, r):
+    """An edge e with meets[e] > 0, at least r edges closing at e's closing
+    position and at least r - 1 at each of its vertices (the certificate
+    in the conflicts module docstring)."""
+    pos = {v: i for i, v in enumerate(order)}
+    firsts = [min(e, key=pos.__getitem__) for e in h.edges]
+    lasts = [max(e, key=pos.__getitem__) for e in h.edges]
+    closing = [lasts.count(v) for v in range(h.vertex_count)]
+    return any(
+        closing[first] > 0 and closing[last] >= r and all(closing[u] >= r - 1 for u in e)
+        for e, first, last in zip(h.edges, firsts, lasts)
+    )
+
+
+@given(
+    hypergraphs(max_vertices=7, max_edges=14, min_edge_size=2, max_edge_size=4),
+    st.integers(2, 4),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_failed_runs_have_the_forced_vertex_certificate(h, r, tied, data):
+    # half the runs draw birth times from three values, so the processing
+    # order often breaks ties by vertex index
+    times = st.sampled_from([0.0, 0.5, 1.0]) if tied else st.floats(0.0, 1.0)
+    t = BirthTimeAssignment(data.draw(st.lists(times, min_size=h.vertex_count, max_size=h.vertex_count)))
+    order = t.order()
+    failed = not greedy_succeeds(h, order, r)
+    event(f"greedy failed: {failed}")
+    if failed:
+        assert _forced_vertex_certificate(h, order, r)
