@@ -68,11 +68,12 @@ def min_two_color_bound(k: float, n: int) -> float:
 
 
 def _max_feasible(feasible, lo: float = 0.0, hi0: float = 1.0, tol: float = SEARCH_TOL) -> float:
-    """Largest x with feasible(x), for a predicate true on [0, x*)."""
+    """Largest x with feasible(x), for a predicate true on [0, x*); a
+    predicate still true where doubling leaves the float range is refused."""
     hi = hi0
     while feasible(hi):
         lo, hi = hi, hi * 2.0
-        if hi > 1e18:
+        if hi == inf:
             raise NumericRangeError("feasibility search ran away")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0

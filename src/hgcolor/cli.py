@@ -3,8 +3,7 @@
 Subcommands: gen, color, mc, oracle, bounds, experiment. mc and experiment
 take the same trial flags, and oracle and experiment the same
 --oracle-budget, which caps each exact oracle's tried (vertex, color)
-assignments; HGCOLOR_CHAIN_CEILING and HGCOLOR_ORACLE_BUDGET set the
-defaults of --chain-ceiling and --oracle-budget. bounds writes the
+assignments; HGCOLOR_ORACLE_BUDGET sets its default. bounds writes the
 certified bound table (CSV or JSON, optionally an SVG plot).
 Exit codes: 0 ok, 2 invariant violation / invalid instance,
 3 budget, numeric range or memory exceeded, 4 IO or parse error.
@@ -18,10 +17,8 @@ import os
 import sys
 from dataclasses import asdict
 
-from .conflicts import DEFAULT_CHAIN_CEILING
 from .errors import (
     BudgetExceededError,
-    ChainCeilingError,
     HypergraphFormatError,
     InvalidHypergraphError,
     NumericRangeError,
@@ -115,7 +112,6 @@ def _cmd_mc(args) -> int:
         p=args.p,
         count_chains=args.count_chains,
         workers=args.workers,
-        chain_ceiling=args.chain_ceiling,
     )
     d = _mc_asdict(report)
     if args.format == "csv":
@@ -208,7 +204,6 @@ def _cmd_experiment(args) -> int:
             p=args.p,
             count_chains=args.count_chains,
             workers=args.workers,
-            chain_ceiling=args.chain_ceiling,
             oracle_budget=args.oracle_budget,
             run_oracle=not args.no_oracle,
         )
@@ -225,8 +220,6 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the chain ceiling is read first, so it is named when both variables are bad
-    chain_ceiling = _env_int("HGCOLOR_CHAIN_CEILING", DEFAULT_CHAIN_CEILING)
     oracle_budget = _env_int("HGCOLOR_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET)
 
     # parents for the flags that several subcommands declare alike
@@ -243,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " at r = 2 B/P/R split at (1-p)/2 and (1+p)/2 (default 2 ln(n)/n if n-uniform)")
     trials.add_argument("--count-chains", action="store_true")
     trials.add_argument("--workers", type=int, default=1)
-    trials.add_argument("--chain-ceiling", type=int, default=chain_ceiling)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--oracle-budget", type=int, default=oracle_budget)
 
@@ -299,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
-    except ValueError as exc:  # a malformed budget or ceiling variable
+    except ValueError as exc:  # a malformed budget variable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     args = parser.parse_args(argv)
@@ -308,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except (HypergraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BudgetExceededError, ChainCeilingError, NumericRangeError, MemoryError) as exc:
+    except (BudgetExceededError, NumericRangeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (InvalidHypergraphError, ValueError) as exc:

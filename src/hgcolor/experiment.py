@@ -30,7 +30,7 @@ from . import bounds
 from .errors import BudgetExceededError, NumericRangeError
 from .generators import gen_complete_uniform, gen_fano, gen_random_uniform
 from .hypergraph import Hypergraph, read_hypergraph
-from .montecarlo import DEFAULT_CHAIN_CEILING, MonteCarloReport, check_trial_settings, monte_carlo
+from .montecarlo import MonteCarloReport, check_trial_settings, monte_carlo
 from .oracle import DEFAULT_ORACLE_BUDGET, check_budget, greedy_success_exact
 
 
@@ -46,14 +46,13 @@ class ExperimentConfig:
     p: float | None = None
     count_chains: bool = False
     workers: int = 1
-    chain_ceiling: int = DEFAULT_CHAIN_CEILING
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
     run_oracle: bool = True
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _checked(f"config field {f.name!r}", f.type, getattr(self, f.name)))
-        check_trial_settings(self.r, self.trials, self.seed, self.p, self.workers, self.chain_ceiling)
+        check_trial_settings(self.r, self.trials, self.seed, self.p, self.workers)
         check_budget(self.oracle_budget)
         if "kind" not in self.source:
             raise ValueError("source needs a 'kind' field")
@@ -321,7 +320,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         p=config.p,
         count_chains=config.count_chains,
         workers=config.workers,
-        chain_ceiling=config.chain_ceiling,
     )
 
     oracle_sec = OracleSection(within_budget=False, note="oracle disabled")
@@ -349,16 +347,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     n, r, p = mc.uniformity_n, config.r, mc.p
     bound_sec = BoundSection(None, None, None, None, None, mc.mean_short_edges, mc.mean_conflicting_pairs)
     if n is not None and p is not None and h.edge_count:
-        # exact integer division, which cannot overflow; where k rounds to
-        # 0.0 the bounds it feeds stay null, like a failed bound_table cell
-        k = h.edge_count / (2 ** (n - 1) if r == 2 else r ** (n - 2))
+        # the expected counts are over k r^(n-2) edges at every r, the
+        # two-color bound over k 2^(n-1): exact integer divisions, which
+        # cannot overflow; where a k rounds to 0.0 the bounds it feeds stay
+        # null, like a failed bound_table cell
+        k_chains = h.edge_count / r ** (n - 2)
+        k = h.edge_count / 2 ** (n - 1) if r == 2 else k_chains
         opt = bounds.optimize_p(k, n) if r == 2 and k else None
         bound_sec = BoundSection(
             k_coefficient=k,
             best_p=opt.best_p if opt else None,
             two_color_bound=opt.best_value if opt else None,
-            expected_short_edges=bounds.expected_short_edges(k, n, r, p) if k else None,
-            expected_conflicting_chains=bounds.expected_conflicting_chains(k, n, r, p) if k else None,
+            expected_short_edges=bounds.expected_short_edges(k_chains, n, r, p) if k_chains else None,
+            expected_conflicting_chains=(
+                bounds.expected_conflicting_chains(k_chains, n, r, p) if k_chains else None
+            ),
             empirical_mean_short=mc.mean_short_edges,
             empirical_mean_pairs=mc.mean_conflicting_pairs,
         )

@@ -25,9 +25,12 @@ vertex. Conflicting chains are walks that continue where their last edge
 closes with an edge that opens there. ``_meets`` counts their first step,
 the two-edge walks ending in each edge, whose sum is the pair count, and
 ``_chains`` extends it by a per-position sum per step, until no walk is
-left. The greedy sweep, ``_succeeds``, reads each edge once, at its
-closing position, in entries sorted by rank: the closing vertex's blocked
-colors are those its closed edges show as their only color. It runs only
+left. Those counts are exact below ``walk_limit`` = (2^63 - 1) // (m + 1),
+which the engine derives from m; a trial that reaches it counts 0 chains
+and is reported in ``chain_ceiling_trials``. The greedy sweep,
+``_succeeds``, reads each edge once, at its closing position, in entries
+sorted by rank: the closing vertex's blocked colors are those its closed
+edges show as their only color. It runs only
 on the trials with a pair, or with a conflicting r-chain when chains are
 counted: by the lemma in :mod:`hgcolor.conflicts`, on an instance with no
 singleton edge a trial that fails has a conflicting r-chain, and every
@@ -64,8 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import reference_p
-from .conflicts import DEFAULT_CHAIN_CEILING, IntervalPartition
-from .errors import NumericRangeError
+from .conflicts import IntervalPartition
 from .greedy import equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
 
@@ -157,7 +159,7 @@ class _Column(IntEnum):
     P_MID = 4
     R_INT = 5
     CHAINS = 6
-    CEILING = 7  # 1 when the chain count passed the ceiling
+    CEILING = 7  # 1 when the chain count reached walk_limit, past the exact range
 
 
 # Color c has the code 1 << (c - 1). Within a trial no color above r is
@@ -172,17 +174,9 @@ class _TrialEngine:
     """Per-hypergraph precomputation for batches of trials: the arrays the
     batches read, not the hypergraph, so pool workers receive little."""
 
-    def __init__(
-        self,
-        h: Hypergraph,
-        r: int,
-        p: float | None,
-        count_chains: bool,
-        chain_ceiling: int,
-    ):
+    def __init__(self, h: Hypergraph, r: int, p: float | None, count_chains: bool):
         self.r = r
         self.count_chains = count_chains
-        self.chain_ceiling = chain_ceiling
         self.v_count = h.vertex_count
         self.short_threshold = None if p is None else (1.0 - p) / r
         # the report keeps B/P/R counts only at r = 2
@@ -193,7 +187,7 @@ class _TrialEngine:
         # a singleton edge is its own first and last: (e, e) is not a pair,
         # and it never sits mid-chain
         self.singleton_edges = np.fromiter(h.edge_sizes, np.intp, h.edge_count) == 1
-        # walk counts saturate at or below this, so m of them sum in int64
+        # walk counts saturate here, so m of them sum in int64
         self.walk_limit = (2**63 - 1) // (h.edge_count + 1)
         # row k holds the k-th vertex of every edge
         self.columns = np.ascontiguousarray(h.edge_matrix.T)
@@ -224,7 +218,7 @@ class _TrialEngine:
         edge_pos, opening, closing = self._edge_positions(position)
         meets, out[:, _Column.PAIRS] = self._meets(opening, closing)
         # a row can fail only with a conflicting r-chain, whose first step
-        # is a pair; a flagged row has more chains than the ceiling
+        # is a pair; a flagged row has more chains than it counts exactly
         if self.count_chains:
             out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(meets, opening, closing)
             can_fail = out[:, _Column.CHAINS] | out[:, _Column.CEILING]
@@ -332,21 +326,20 @@ class _TrialEngine:
         return success
 
     def _chains(self, meets: np.ndarray, opening: np.ndarray, closing: np.ndarray):
-        """Each row's conflicting r-chain count and whether it passes the
-        ceiling (a flagged row counts 0), extending the two-edge walks
-        `meets`. By the lemma in :mod:`hgcolor.conflicts` the chains are the
-        walks of last -> first matches with no singleton in the middle: the
-        walks of k + 1 edges ending in e are those of k edges ending in an
-        edge that closes where e opens, summed per position.
+        """Each row's conflicting r-chain count and whether it reaches
+        `walk_limit`, past the exact range (a flagged row counts 0),
+        extending the two-edge walks `meets`. By the lemma in
+        :mod:`hgcolor.conflicts` the chains are the walks of last -> first
+        matches with no singleton in the middle: the walks of k + 1 edges
+        ending in e are those of k edges ending in an edge that closes where
+        e opens, summed per position.
         Each step first zeroes the walks ending in a singleton, and the steps
-        stop once no walk is left. Counts saturate at the ceiling + 1, which
-        is exact: a saturated count reaches a row's total only through a
-        completion, and then the total passes the ceiling either way. Past
-        `walk_limit` a sum could wrap, so a row that reaches it under a
-        higher ceiling is refused.
+        stop once no walk is left. Counts saturate at `walk_limit`, so every
+        per-position sum and every row sum, of at most m counts, stays below
+        2^63. This is exact: a saturated count reaches a row's total only by
+        extending, and then the total reaches the limit too.
         """
-        cap = min(self.chain_ceiling + 1, self.walk_limit)
-        walks = np.minimum(meets, cap)
+        walks = np.minimum(meets, self.walk_limit)
         for _ in range(3, self.r + 1):
             walks[:, self.singleton_edges] = 0
             if not walks.any():
@@ -354,12 +347,9 @@ class _TrialEngine:
             at = np.zeros(len(meets) * self.v_count, dtype=np.int64)
             np.add.at(at, closing.ravel(), walks.ravel())
             walks = at.take(opening)
-            np.minimum(walks, cap, out=walks)
+            np.minimum(walks, self.walk_limit, out=walks)
         counts = walks.sum(axis=1)
-        if self.chain_ceiling >= self.walk_limit and (counts >= cap).any():
-            raise NumericRangeError(f"a conflicting chain count reached {self.walk_limit}, "
-                                    "the most counted exactly here; lower the chain ceiling")
-        flagged = counts > self.chain_ceiling
+        flagged = counts >= self.walk_limit
         return np.where(flagged, 0, counts), flagged
 
     def _spans(self, times: np.ndarray, flat: np.ndarray, opening: np.ndarray, closing: np.ndarray,
@@ -533,9 +523,7 @@ def _pool_context():
     return mp.get_context()
 
 
-def check_trial_settings(
-    r: int, trials: int, seed: int, p: float | None, workers: int, chain_ceiling: int
-) -> None:
+def check_trial_settings(r: int, trials: int, seed: int, p: float | None, workers: int) -> None:
     """Raise ValueError on an out-of-range trial setting; p may be None."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -547,8 +535,6 @@ def check_trial_settings(
         raise ValueError(f"p must lie in (0,1), got {p}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    if chain_ceiling < 0:
-        raise ValueError(f"the chain ceiling must be nonnegative, got {chain_ceiling}")
 
 
 def monte_carlo(
@@ -559,7 +545,6 @@ def monte_carlo(
     p: float | None = None,
     count_chains: bool = False,
     workers: int = 1,
-    chain_ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> MonteCarloReport:
     """Estimate greedy success probability and conflict-structure counts.
 
@@ -568,11 +553,11 @@ def monte_carlo(
     requires r = 2).
     """
     h.require_valid()
-    check_trial_settings(r, trials, seed, p, workers, chain_ceiling)
+    check_trial_settings(r, trials, seed, p, workers)
     cert = uniformity(h)
     if p is None:
         p = default_p(h)
-    engine = _TrialEngine(h, r, p, count_chains, chain_ceiling)
+    engine = _TrialEngine(h, r, p, count_chains)
     # reports do not depend on how the trials split, so the split follows
     # measured cost: time a first share in-process, 1 / (2 * size) of the
     # trials but at least one batch (so a call of one batch runs whole), then

@@ -186,6 +186,22 @@ class TestMaxFeasible:
             assert recheck.feasible
             assert min(recheck.log_slack1, recheck.log_slack2) >= 0.0
 
+    @pytest.mark.parametrize("n, r", [(10**22, 8), (3 * 10**21, 9), (10**21, 11)])
+    def test_coefficients_near_1e18_are_bracketed(self, n, r):
+        # k here lies near 10^18, where the doubling once gave up; the next
+        # float above it already fails the inequality
+        k = max_k_rcol(n, r)
+        assert k > 5e17
+        p = reference_p(n)
+        assert expected_short_edges(k, n, r, p) + expected_conflicting_chains(k, n, r, p) < 1.0
+        up = math.nextafter(k, math.inf)
+        assert expected_short_edges(up, n, r, p) + expected_conflicting_chains(up, n, r, p) >= 1.0
+
+    def test_search_refused_only_past_the_float_range(self):
+        assert _max_feasible(lambda x: x < 1e300) == math.nextafter(1e300, 0.0)
+        with pytest.raises(NumericRangeError, match="ran away"):
+            _max_feasible(lambda x: True)
+
     @given(st.floats(log(3.0), log(1e22)), st.integers(2, 12))
     @settings(max_examples=50, deadline=None)
     def test_bound_table_cells_certify_or_name_the_range_error(self, log_n, r):

@@ -1,11 +1,12 @@
 import json
+from math import comb
 
 import pytest
 
 from hgcolor import Hypergraph, cli, experiment, loads_hypergraph, write_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
 
-TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers", "chain_ceiling")
+TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers")
 
 
 def run(capsys, *argv):
@@ -88,15 +89,29 @@ class TestMc:
         assert len(rows) == 2
         assert len(rows[0]) == len(rows[1])
 
-    def test_chain_count_past_int64_exits_3(self, tmp_path, capsys):
-        # K_100 has about 6.6e25 conflicting 30-chains in every order
+    def test_chain_counts_past_ten_million_are_exact(self, tmp_path, capsys):
+        # K_60 has C(60, 11), about 3.4e11, conflicting 10-chains in every order
+        path = tmp_path / "k60.hg"
+        run(capsys, "gen", "complete", "--m", "60", "--n", "2", "--out", str(path))
+        code, out, err = run(capsys, "mc", "--in", str(path), "--r", "10", "--trials", "20",
+                             "--count-chains")
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["mean_conflicting_chains"] == comb(60, 11)
+        assert report["chain_ceiling_trials"] == 0
+
+    def test_chain_count_past_int64_is_flagged(self, tmp_path, capsys):
+        # K_100 has about 6.6e25 conflicting 30-chains in every order: past
+        # the exact range, so each trial is flagged and none is wrapped
         path = tmp_path / "k100.hg"
         run(capsys, "gen", "complete", "--m", "100", "--n", "2", "--out", str(path))
         code, out, err = run(capsys, "mc", "--in", str(path), "--r", "30", "--trials", "2",
-                             "--count-chains", "--chain-ceiling", str(2**62))
-        assert code == EXIT_BUDGET
-        assert err.startswith("error: a conflicting chain count reached")
-        assert out == ""
+                             "--count-chains")
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["chain_ceiling_trials"] == 2
+        assert report["total_conflicting_chains"] == 0
+        assert report["mean_conflicting_chains"] is None
 
 
     @pytest.mark.parametrize("command", ["mc", "experiment"])
@@ -162,7 +177,7 @@ class TestExitCodes:
         else:
             assert payload["colorable"] and payload["orderings"]["probability"] == "1/1"
 
-    @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET", "HGCOLOR_CHAIN_CEILING"])
+    @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET"])
     def test_non_integer_env_var(self, monkeypatch, capsys, name):
         monkeypatch.setenv(name, "lots")
         code, out, err = run(capsys, "gen", "fano")
@@ -171,19 +186,17 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("command", ["mc", "experiment"])
-    @pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
-    def test_negative_chain_ceiling_exits_2(self, tmp_path, monkeypatch, capsys, command, by_env):
+    def test_chain_ceiling_is_no_flag_and_no_variable(self, tmp_path, monkeypatch, capsys, command):
         path = tmp_path / "f.hg"
         run(capsys, "gen", "fano", "--out", str(path))
         flags = ["--in", str(path), "--trials", "5", "--count-chains", "--out", str(tmp_path / "o")]
-        if by_env:
-            monkeypatch.setenv("HGCOLOR_CHAIN_CEILING", "-1")
-        else:
-            flags += ["--chain-ceiling", "-1"]
-        code, out, err = run(capsys, command, *flags)
-        assert code == EXIT_INVARIANT
-        assert "chain ceiling" in err and "Traceback" not in err
-        assert out == ""
+        monkeypatch.setenv("HGCOLOR_CHAIN_CEILING", "lots")
+        code, _, err = run(capsys, command, *flags)
+        assert (code, err) == (EXIT_OK, "")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--chain-ceiling", "5"])
+        assert exc.value.code == EXIT_INVARIANT
+        assert "unrecognized arguments: --chain-ceiling 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["oracle", "experiment"])
     @pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
@@ -206,7 +219,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--chain-ceiling", "-1"), ("--workers", "0"), ("--p", "1.5"), ("--oracle-budget", "-1")],
+        [("--workers", "0"), ("--p", "1.5"), ("--oracle-budget", "-1")],
     )
     def test_bad_trial_setting_exits_2_before_making_out(self, tmp_path, monkeypatch, capsys, flag, value):
         def refuse(*args, **kwargs):
@@ -377,21 +390,13 @@ class TestBounds:
 
 
 class TestSharedFlags:
-    @pytest.mark.parametrize("ceiling", [None, "17"])
-    def test_mc_and_experiment_parse_the_same_trial_settings(self, monkeypatch, ceiling):
-        if ceiling is None:
-            monkeypatch.delenv("HGCOLOR_CHAIN_CEILING", raising=False)
-        else:
-            monkeypatch.setenv("HGCOLOR_CHAIN_CEILING", ceiling)
+    def test_mc_and_experiment_parse_the_same_trial_settings(self):
         parser = build_parser()
         for flags in ([], ["--r", "3", "--trials", "9", "--seed", "4", "--p", "0.2",
-                           "--count-chains", "--workers", "2", "--chain-ceiling", "5"]):
+                           "--count-chains", "--workers", "2"]):
             mc = vars(parser.parse_args(["mc", "--in", "x.hg", *flags]))
             exp = vars(parser.parse_args(["experiment", "--in", "x.hg", *flags]))
             assert {k: mc[k] for k in TRIAL_SETTINGS} == {k: exp[k] for k in TRIAL_SETTINGS}
-        if ceiling is not None:
-            assert mc["chain_ceiling"] == 5
-            assert vars(parser.parse_args(["mc", "--in", "x.hg"]))["chain_ceiling"] == 17
 
     def test_oracle_and_experiment_read_the_budget_variable(self, monkeypatch):
         monkeypatch.setenv("HGCOLOR_ORACLE_BUDGET", "123")
@@ -493,6 +498,14 @@ class TestExperiment:
             data.pop("timestamp")
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_config_with_a_chain_ceiling_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": {"kind": "fano"}, "trials": 5, "chain_ceiling": 10}))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == EXIT_INVARIANT
+        assert err == "error: unknown config fields: chain_ceiling\n" and out == ""
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "raw",

@@ -16,7 +16,12 @@ from hgcolor.experiment import (
     svg_plot,
 )
 from hgcolor import is_r_colorable, montecarlo, write_hypergraph
-from hgcolor.bounds import expected_conflicting_chains, expected_short_edges, reference_p
+from hgcolor.bounds import (
+    expected_conflicting_chains,
+    expected_short_edges,
+    prob_edge_short_exact,
+    reference_p,
+)
 from hgcolor.suite import fixed_suite
 
 from conftest import count_pools
@@ -190,26 +195,47 @@ class TestRunExperiment:
         cfg = ExperimentConfig(source={"kind": "file", "path": str(path)}, r=r, trials=5, seed=1)
         assert run_experiment(cfg).oracle["colorable"] == is_r_colorable(h, r)[0]
 
-    @pytest.mark.parametrize("n, r", [(1025, 2), (1100, 2), (700, 3)])
+    @pytest.mark.parametrize("n, r", [(1025, 2), (1076, 2), (1100, 2), (700, 3)])
     def test_wide_uniform_instance(self, n, r):
-        """One n-edge on n vertices: k = 1 / 2^(n-1) at r = 2 (2.0^(n-1)
-        overflows a float from n = 1025) and 1 / r^(n-2) at r >= 3, exact
-        integer divisions. Where k is still a positive float the bounds are
-        computed; where it rounds to 0.0 the bounds it feeds stay null."""
+        """One n-edge on n vertices: the expected counts take 1 / r^(n-2) at
+        every r, and at r = 2 the two-color bound takes k = 1 / 2^(n-1)
+        (2.0^(n-1) overflows a float from n = 1025), exact integer
+        divisions. Where a coefficient is still a positive float the bounds
+        it feeds are computed; where it rounds to 0.0 they stay null (at
+        n = 1076 and r = 2 only k does)."""
         cfg = ExperimentConfig(
             source={"kind": "complete", "m": n, "n": n}, r=r, trials=5, seed=1, run_oracle=False
         )
         report = run_experiment(cfg)
         bounds = report.bounds
-        k = 1 / (2 ** (n - 1) if r == 2 else r ** (n - 2))
+        k_chains = 1 / r ** (n - 2)
+        k = 1 / 2 ** (n - 1) if r == 2 else k_chains
         assert bounds["k_coefficient"] == k
         assert report.mc["successes"] == 5 and not report.invariant_violations
-        fed = ("best_p", "two_color_bound", "expected_short_edges", "expected_conflicting_chains")
-        if k:
+        for fields, coefficient in [
+            (("expected_short_edges", "expected_conflicting_chains"), k_chains),
+            (("best_p", "two_color_bound"), k if r == 2 else 0.0),
+        ]:
+            assert all((bounds[f] is None) == (not coefficient) for f in fields), fields
+        if k:  # (at n = 1076 the short-edge bound underflows to 0.0)
             assert bounds["expected_short_edges"] > 0
-            assert all(bounds[f] is not None for f in fed)
-        else:
-            assert all(bounds[f] is None for f in fed)
+
+    @pytest.mark.parametrize("instance", [(60, 5, 300), (200, 10, 1500)])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_expected_short_edges_count_every_edge(self, instance, r):
+        """At every r the report's short-edge bound is over all m edges,
+        m n ((1-p)/r)^(n-1), and so at least m times the exact chance that
+        one edge is short."""
+        m, n, edges = instance
+        cfg = ExperimentConfig(
+            source={"kind": "random", "m": m, "n": n, "edges": edges, "seed": 1},
+            r=r, trials=20, seed=0, run_oracle=False,
+        )
+        report = run_experiment(cfg)
+        p = report.mc["p"]
+        got = report.bounds["expected_short_edges"]
+        assert got == pytest.approx(edges * n * ((1 - p) / r) ** (n - 1), rel=1e-12)
+        assert got >= edges * prob_edge_short_exact(n, (1 - p) / r)
 
 
 class TestBoundTable:

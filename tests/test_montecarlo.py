@@ -27,6 +27,27 @@ from conftest import count_pools
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _ceiling_engine(ceiling):
+    """A _TrialEngine class whose walk_limit is lowered (never raised) to
+    ceiling + 1, so a row is flagged exactly when it counts more than
+    `ceiling` conflicting chains. Tests that need monte_carlo itself patch
+    it into montecarlo."""
+
+    class Engine(montecarlo._TrialEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            assert ceiling < self.walk_limit
+            self.walk_limit = ceiling + 1
+
+    return Engine
+
+
+def _engine(h, r, p, count_chains, ceiling=None):
+    """A trial engine, flagging past `ceiling` chains if one is given."""
+    engine = montecarlo._TrialEngine if ceiling is None else _ceiling_engine(ceiling)
+    return engine(h, r, p, count_chains)
+
+
 class TestWilson:
     def test_contains_estimate(self):
         for s, t in [(0, 10), (5, 10), (10, 10), (137, 2000)]:
@@ -158,17 +179,12 @@ class TestMonteCarlo:
         # 2-chains and pairs coincide
         assert rep.total_conflicting_chains == rep.total_conflicting_pairs
 
-    def test_chain_ceiling_flags_trials(self, fano):
-        rep = monte_carlo(fano, 2, 30, seed=10, count_chains=True, chain_ceiling=0)
+    def test_chain_ceiling_flags_trials(self, monkeypatch, fano):
+        monkeypatch.setattr(montecarlo, "_TrialEngine", _ceiling_engine(0))
+        rep = monte_carlo(fano, 2, 30, seed=10, count_chains=True)
         assert rep.chain_ceiling_trials == 30
+        assert rep.total_conflicting_chains == 0
         assert rep.mean_conflicting_chains is None
-
-    def test_negative_chain_ceiling_rejected(self):
-        # every row, even one without chains, would exceed it, so the
-        # report would depend on how the trials split into batches
-        h = gen_random_uniform(12, 3, 10, seed=2)
-        with pytest.raises(ValueError, match="chain ceiling"):
-            monte_carlo(h, 3, 40, seed=1, count_chains=True, chain_ceiling=-1)
 
     def test_seed_required_nonnegative(self, fano):
         with pytest.raises(ValueError):
@@ -238,8 +254,7 @@ def test_engine_counts_match_reference_structures():
     def check(hwt):
         h, times = hwt
         p = 0.4
-        engine = _TrialEngine(h, 2, p, count_chains=False,
-                              chain_ceiling=10**6)
+        engine = _TrialEngine(h, 2, p, count_chains=False)
         (row,) = engine.run(np.array([times], dtype=float).reshape(1, h.vertex_count))
         _, n_pairs, n_short, cb, cp, cr, _, _ = row.tolist()
         t = BirthTimeAssignment(times)
@@ -291,8 +306,6 @@ def test_batch_rows_match_scalar_references():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from hgcolor.montecarlo import _TrialEngine
-
     from conftest import hypergraphs_with_times
 
     p = 0.4
@@ -313,8 +326,7 @@ def test_batch_rows_match_scalar_references():
             max_size=4,
         ))
         block = np.array([times, *more], dtype=float).reshape(-1, v)
-        engine = _TrialEngine(h, r, p, count_chains=count_chains,
-                              chain_ceiling=ceiling)
+        engine = _engine(h, r, p, count_chains, ceiling)
         for row, got in zip(block, engine.run(block).tolist()):
             want = _reference_row(h, row.tolist(), r, p, ceiling)
             assert got == (want if count_chains else want[:-2] + [0, 0])
@@ -353,11 +365,9 @@ def test_engine_rows_on_edge_cases(case, r):
     differ in every non-identity order, so a count read at the wrong one
     shows here (the B/P/R columns at r = 2 read singletons per position).
     At r = 4 a singleton can end a chain after two middle steps."""
-    from hgcolor.montecarlo import _TrialEngine
-
     h, block = _EDGE_CASES[case]
     p, ceiling = 0.4, 10**6
-    engine = _TrialEngine(h, r, p, count_chains=True, chain_ceiling=ceiling)
+    engine = _engine(h, r, p, True, ceiling)
     rows = engine.run(block).tolist()
     assert rows == [_reference_row(h, row.tolist(), r, p, ceiling) for row in block]
     assert any(row[1] for row in rows)  # some trial has a conflicting pair
@@ -371,7 +381,6 @@ def test_engine_chains_match_filtered_enumeration():
     from hypothesis import strategies as st
 
     from hgcolor import enumerate_chains
-    from hgcolor.montecarlo import _TrialEngine
 
     from conftest import hypergraphs_with_times
 
@@ -390,7 +399,7 @@ def test_engine_chains_match_filtered_enumeration():
             max_size=3,
         ))
         block = np.array([times, *more], dtype=float).reshape(-1, v)
-        engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=ceiling)
+        engine = _engine(h, r, None, True, ceiling)
         chains = list(enumerate_chains(h, r))
         for row, got in zip(block.tolist(), engine.run(block).tolist()):
             def key(u):
@@ -419,7 +428,7 @@ def test_chain_rows_match_scalar_beyond_64_vertices(r):
 
     h = gen_random_uniform(150, 3, 400, seed=2)
     block = np.random.default_rng(5).random((12, h.vertex_count))
-    engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=10**7)
+    engine = _TrialEngine(h, r, None, count_chains=True)
     got = engine.run(block)[:, 6].tolist()
     want = [len(conflicting_chains(h, BirthTimeAssignment(row.tolist()), r)) for row in block]
     assert got == want
@@ -429,14 +438,23 @@ def test_chain_rows_match_scalar_beyond_64_vertices(r):
 @pytest.mark.parametrize("r", [3, 4])
 def test_chain_count_independent_of_element_cap(monkeypatch, r):
     """Batches of one trial, or of a handful, give the report of the
-    default batch size, also where the ceiling trips on some trials (the
-    walk counts saturate per row, so a row's flag cannot depend on the
-    rows beside it)."""
+    default batch size, also where the walk limit, lowered to 2, trips on
+    some trials (the walk counts saturate per row, so a row's flag cannot
+    depend on the rows beside it)."""
     from hgcolor import gen_random_uniform
 
     h = gen_random_uniform(60, 5, 300, seed=1)
-    calls = [dict(chain_ceiling=c) for c in (10**7, 1)]
-    want = [monte_carlo(h, r, 24, seed=14, count_chains=True, **kw) for kw in calls]
+    engines = [montecarlo._TrialEngine, _ceiling_engine(1)]
+
+    def reports():
+        out = []
+        for engine in engines:
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "_TrialEngine", engine)
+                out.append(monte_carlo(h, r, 24, seed=14, count_chains=True))
+        return out
+
+    want = reports()
     if r == 3:
         assert want[0].total_conflicting_chains > 0
         assert 0 < want[1].chain_ceiling_trials < 24
@@ -444,54 +462,50 @@ def test_chain_count_independent_of_element_cap(monkeypatch, r):
     # exist)
     for elements in (1, 300):
         monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", elements)
-        got = [monte_carlo(h, r, 24, seed=14, count_chains=True, **kw) for kw in calls]
-        assert got == want
+        assert reports() == want
 
 
 def test_chain_counts_on_complete_graphs_have_a_closed_form():
     """In K_V every order has exactly C(V, r + 1) conflicting r-chains: a
     chain is an increasing path through r + 1 vertices in processing order,
     one for each set of r + 1 vertices. At r = 10 on K_60 each trial counts
-    C(60, 11), about 3.4e11; on K_12 the rows also match the scalar
-    enumeration at r = 2..5."""
+    C(60, 11), about 3.4e11, inside the engine's exact range; on K_12 the
+    rows also match the scalar enumeration at r = 2..5."""
     from hgcolor import BirthTimeAssignment, conflicting_chains
     from hgcolor.montecarlo import _Column, _TrialEngine
 
-    rep = monte_carlo(gen_complete_uniform(60, 2), 10, 3, 0, count_chains=True,
-                      chain_ceiling=10**12)
+    rep = monte_carlo(gen_complete_uniform(60, 2), 10, 3, 0, count_chains=True)
     assert rep.total_conflicting_chains == 3 * comb(60, 11) == 1_028_100_375_900
     assert rep.chain_ceiling_trials == 0
     h = gen_complete_uniform(12, 2)
     block = np.random.default_rng(3).random((6, 12))
     for r in (2, 3, 4, 5):
-        engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=10**7)
+        engine = _TrialEngine(h, r, None, count_chains=True)
         got = engine.run(block)[:, _Column.CHAINS].tolist()
         want = [len(conflicting_chains(h, BirthTimeAssignment(row.tolist()), r))
                 for row in block]
         assert got == want == [comb(12, r + 1)] * len(block)
 
 
-def test_chain_count_past_int64_is_refused():
+def test_chain_count_past_int64_is_flagged():
     """K_100 has C(100, 31), about 6.6e25, conflicting 30-chains in every
-    order, past int64. Under a ceiling above the engine's exact range the
-    count is refused, never wrapped; under a ceiling inside it every trial
-    is flagged."""
-    from hgcolor.errors import NumericRangeError
-
+    order, past int64 and past the engine's exact range, about 1.9e15 here.
+    The count is never wrapped: every trial is flagged and counts 0."""
     h = gen_complete_uniform(100, 2)
-    with pytest.raises(NumericRangeError, match="lower the chain ceiling"):
-        monte_carlo(h, 30, 2, 0, count_chains=True, chain_ceiling=2**62)
-    rep = monte_carlo(h, 30, 4, 0, count_chains=True, chain_ceiling=10**7)
+    assert comb(100, 31) > 2**63 > montecarlo._TrialEngine(h, 30, None, True).walk_limit
+    rep = monte_carlo(h, 30, 4, 0, count_chains=True)
     assert rep.chain_ceiling_trials == 4
     assert rep.total_conflicting_chains == 0
+    assert rep.mean_conflicting_chains is None
 
 
 def test_chain_totals_past_int64_are_exact():
     """Each trial on K_56 at r = 24 counts C(56, 25), about 5.6e15, inside
-    the engine's exact range; 1,700 trials sum past 2^63, and the total
-    stays exact."""
+    the engine's exact range (below its walk_limit of about 6.0e15);
+    1,700 trials sum past 2^63, and the total stays exact."""
     h = gen_complete_uniform(56, 2)
-    rep = monte_carlo(h, 24, 1700, 0, count_chains=True, chain_ceiling=comb(56, 25))
+    assert comb(56, 25) < montecarlo._TrialEngine(h, 24, None, True).walk_limit
+    rep = monte_carlo(h, 24, 1700, 0, count_chains=True)
     assert rep.total_conflicting_chains == 1700 * comb(56, 25) > 2**63
     assert rep.chain_ceiling_trials == 0
 
@@ -539,22 +553,21 @@ def test_chain_walks_stop_once_none_is_left(r, chains):
     from hgcolor.montecarlo import _Column, _TrialEngine
 
     h = Hypergraph(11, [(v, v + 1) for v in range(10)])
-    engine = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=10**7)
+    engine = _TrialEngine(h, r, None, count_chains=True)
     block = np.linspace(0.0, 1.0, 11)[None, :]
     assert engine.run(block)[:, _Column.CHAINS].tolist() == [chains]
     rep = monte_carlo(gen_fano(), r, 2000, 1, count_chains=True)
     assert rep.total_conflicting_chains == 0 and rep.chain_ceiling_trials == 0
 
 
-def _success_rows(h, r, block, chain_ceiling=None):
+def _success_rows(h, r, block, chains=False, ceiling=None):
     """The engine's success column for the rows of `block`, and
-    greedy_succeeds on each row's birth-time order. With a chain ceiling the
-    engine counts chains, and sweeps only the rows with a chain or a flag."""
+    greedy_succeeds on each row's birth-time order. With chains the engine
+    sweeps only the rows with a chain or a flag (past `ceiling`, if given)."""
     from hgcolor.greedy import greedy_succeeds
-    from hgcolor.montecarlo import _Column, _TrialEngine
+    from hgcolor.montecarlo import _Column
 
-    chains = chain_ceiling is not None
-    engine = _TrialEngine(h, r, None, count_chains=chains, chain_ceiling=chain_ceiling or 0)
+    engine = _engine(h, r, None, chains, ceiling)
     got = engine.run(block)[:, _Column.SUCCESS].tolist()
     want = [int(greedy_succeeds(h, np.argsort(row, kind="stable").tolist(), r)) for row in block]
     return got, want
@@ -589,7 +602,7 @@ def test_success_rows_with_chains_match_scalar(instance, r):
     have no (r + 1)-chain, so a filter one step too long shows here."""
     h = gen_random_uniform(*instance, seed=1)
     block = np.random.default_rng(8).random((150, h.vertex_count))
-    got, want = _success_rows(h, r, block, chain_ceiling=10**7)
+    got, want = _success_rows(h, r, block, chains=True)
     assert got == want
     if r == 2 or instance == (30, 4, 200):
         assert 0 < sum(want) < len(want)
@@ -597,15 +610,16 @@ def test_success_rows_with_chains_match_scalar(instance, r):
 
 @pytest.mark.parametrize("instance, r, ceiling", [((60, 5, 300), 2, 20), ((20, 3, 100), 3, 10)])
 def test_success_rows_past_the_chain_ceiling_are_swept(instance, r, ceiling):
-    """A row past the chain ceiling counts 0 chains but has more than the
-    ceiling, so it is swept too: here failed rows are among the flagged."""
-    from hgcolor.montecarlo import _Column, _TrialEngine
+    """A row past the chain ceiling (the walk limit, lowered) counts 0
+    chains but has more than the ceiling, so it is swept too: here failed
+    rows are among the flagged."""
+    from hgcolor.montecarlo import _Column
 
     h = gen_random_uniform(*instance, seed=1)
     block = np.random.default_rng(8).random((150, h.vertex_count))
-    got, want = _success_rows(h, r, block, chain_ceiling=ceiling)
+    got, want = _success_rows(h, r, block, chains=True, ceiling=ceiling)
     assert got == want
-    rows = _TrialEngine(h, r, None, count_chains=True, chain_ceiling=ceiling).run(block)
+    rows = _engine(h, r, None, True, ceiling).run(block)
     flagged = rows[:, _Column.CEILING] == 1
     assert 0 < flagged.sum() < len(block)
     assert not all(np.array(want)[flagged])
@@ -621,7 +635,7 @@ def test_stages_compose_on_the_rows_that_can_fail():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from hgcolor.montecarlo import _Column, _TrialEngine
+    from hgcolor.montecarlo import _Column
 
     from conftest import hypergraphs_with_times
 
@@ -642,7 +656,7 @@ def test_stages_compose_on_the_rows_that_can_fail():
         time = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
         more = data.draw(st.lists(st.lists(time, min_size=v, max_size=v), max_size=10))
         block = np.array([times, *more], dtype=float).reshape(-1, v)
-        engine = _TrialEngine(h, r, None, count_chains=count_chains, chain_ceiling=ceiling)
+        engine = _engine(h, r, None, count_chains, ceiling)
         rows = engine.run(block)
         if count_chains:
             can_fail = rows[:, _Column.CHAINS] | rows[:, _Column.CEILING]
@@ -710,7 +724,7 @@ def test_success_without_edges_and_with_a_singleton(r):
     assert _success_rows(Hypergraph(4, []), r, block) == ([1] * 5, [1] * 5)
     h = Hypergraph(4, [(0, 1), (2,), (1, 2, 3)])
     assert _success_rows(h, r, block) == ([0] * 5, [0] * 5)
-    assert _success_rows(h, r, block, chain_ceiling=10) == ([0] * 5, [0] * 5)
+    assert _success_rows(h, r, block, chains=True, ceiling=10) == ([0] * 5, [0] * 5)
 
 
 def test_instance_without_vertices():
@@ -752,12 +766,12 @@ def test_report_independent_of_batch_split(monkeypatch):
     from hgcolor.montecarlo import _TrialEngine
 
     h = gen_random_uniform(40, 8, 200, seed=1)
-    batch = _TrialEngine(h, 2, None, False, 10).batch
+    batch = _TrialEngine(h, 2, None, False).batch
     trials = 2 * batch + 3
     serial = monte_carlo(h, 2, trials, seed=12)
     assert serial == monte_carlo(h, 2, trials, seed=12, workers=2)
     monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 1)
-    assert _TrialEngine(h, 2, None, False, 10).batch == 1
+    assert _TrialEngine(h, 2, None, False).batch == 1
     assert serial == monte_carlo(h, 2, trials, seed=12)
 
 
@@ -841,7 +855,7 @@ def test_run_range_across_two_to_the_32():
     from hgcolor.montecarlo import _run_range, _TrialEngine
 
     h = gen_random_uniform(60, 5, 300, seed=1)
-    engine = _TrialEngine(h, 3, reference_p(5), True, 10**6)
+    engine = _TrialEngine(h, 3, reference_p(5), True)
     start, stop = 2**32 - 3, 2**32 + 4
     times = np.array([np.random.default_rng([12, i]).random(h.vertex_count) for i in range(start, stop)])
     assert _run_range(engine, 12, start, stop) == tuple(engine.run(times).sum(axis=0).tolist())
