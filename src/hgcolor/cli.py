@@ -125,11 +125,13 @@ def _cmd_mc(args) -> int:
 def _cmd_oracle(args) -> int:
     h = _load(args.infile)
     budget_hit = False
-    colorable, witness = is_r_colorable(h, args.r, args.oracle_budget)
-    payload = {
-        "colorable": colorable,
-        "witness": list(witness.colors) if witness else None,
-    }
+    try:
+        colorable, witness = is_r_colorable(h, args.r, args.oracle_budget)
+        payload = {"colorable": colorable, "witness": list(witness.colors) if witness else None}
+    except BudgetExceededError as exc:
+        budget_hit = True
+        payload = {"colorable": None, "witness": None, "colorable_note": str(exc)}
+        print(f"budget: {exc}", file=sys.stderr)
     try:
         payload["proper_colorings"] = count_proper_colorings(h, args.r, args.oracle_budget)
     except BudgetExceededError as exc:

@@ -5,11 +5,16 @@ order, so averaging over permutations is exact).
 
 Colorability and counting are one backtracking search over the greedy
 module's edge state, so it decides blocked colors exactly as the greedy
-driver does. The ordering census runs on the same state but counts each
-partial coloring's successful completions once, since the greedy choice
-for the next vertex depends on the partial coloring and not on the order
-that produced it. All three charge one budget, tried (vertex, color)
-assignments, through :func:`_budgeted`; a negative budget is a ValueError.
+driver does. Colors no vertex has used yet are interchangeable, so each
+vertex tries at most one color past the largest used before it, and a
+proper first-use pattern of c colors counts r(r-1)...(r-c+1) colorings;
+the lexicographically smallest proper coloring is such a pattern. The
+ordering census runs on the same state but counts each partial coloring's
+successful completions once, since the greedy choice for the next vertex
+depends on the partial coloring and not on the order that produced it
+(greedy takes the least free color, so it has no color symmetry). All
+three charge one budget, tried (vertex, color) assignments, through
+:func:`_budgeted`; a negative budget is a ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import mul
 
 from .errors import BudgetExceededError
 from .greedy import _EdgeState, _first_free
@@ -70,10 +77,11 @@ def _budgeted(name: str, h: Hypergraph, r: int, budget: int) -> Iterator[str]:
 def _proper_colorings(
     h: Hypergraph, r: int, budget: int, limit: int | None = None
 ) -> tuple[int, list[int] | None]:
-    """Proper r-colorings in lexicographic order (vertices 0..V-1 take
-    colors in ascending order): how many, up to `limit`, and the first, or
-    None, under :func:`_budgeted`; every tried (vertex, color) assignment
-    is charged, blocked colors included.
+    """Proper first-use patterns in lexicographic order (vertices 0..V-1
+    take colors in ascending order, at most one past the largest so far):
+    the r-colorings they stand for, counted until `limit`, and the first
+    pattern (the smallest proper coloring), or None, under :func:`_budgeted`;
+    every tried (vertex, color) assignment is charged, blocked ones too.
 
     The last vertex's free colors are counted without being placed, since
     each completes a proper coloring. At r = 1 the search is one path, so
@@ -95,15 +103,17 @@ def _proper_colorings(
         state = _EdgeState(h, r)
         colors = [0] * v_count
         last = v_count - 1
+        # falling[c] = r(r-1)...(r-c+1) colorings per pattern of c colors
+        falling = list(accumulate(range(r, r - min(r, v_count), -1), mul, initial=1))
         first = None
         found = nodes = 0
 
-        def search(v: int) -> bool:
-            """Extend colors[:v]; True once `limit` colorings are found."""
+        def search(v: int, used: int) -> bool:
+            """Extend colors[:v], which use 1..used; True at `limit`."""
             nonlocal first, found, nodes
             blocked = state.blocked(v)
             saved = state.save(v) if v < last else None
-            for j in range(1, r + 1):
+            for j in range(1, min(r, used + 1) + 1):
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceededError(over)
@@ -112,18 +122,18 @@ def _proper_colorings(
                 colors[v] = j
                 if v < last:
                     state.place(v, j)
-                    if search(v + 1):
+                    if search(v + 1, max(used, j)):
                         return True
                     state.unplace(v, saved)
                     continue
-                found += 1
-                if found == 1:
+                found += falling[max(used, j)]
+                if first is None:
                     first = colors.copy()
-                if found == limit:
+                if limit is not None and found >= limit:
                     return True
             return False
 
-        search(0)
+        search(0, 0)
         return found, first
 
 
@@ -140,7 +150,7 @@ def count_proper_colorings(
     h: Hypergraph, r: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> int:
     """Exact number of proper r-colorings; budgeted as
-    :func:`_proper_colorings`, which enumerates them all."""
+    :func:`_proper_colorings`, which enumerates them up to color symmetry."""
     return _proper_colorings(h, r, budget)[0]
 
 

@@ -1,3 +1,5 @@
+from math import perm
+
 import hypothesis.strategies as st
 import pytest
 
@@ -61,3 +63,25 @@ def hypergraphs_with_times(draw, **kwargs):
         )
     )
     return h, times
+
+
+def naive_partition_count(h, r):
+    """Proper r-colorings counted by their color classes: sum r(r-1)...(r-c+1)
+    over the set partitions of the vertices into c blocks with no edge inside
+    one block. Shares no code with the library's edge state."""
+
+    def partitions(vertices):
+        if not vertices:
+            yield []
+            return
+        v, rest = vertices[0], vertices[1:]
+        for blocks in partitions(rest):
+            yield [{v}, *blocks]
+            for i in range(len(blocks)):
+                yield [*blocks[:i], blocks[i] | {v}, *blocks[i + 1:]]
+
+    return sum(
+        perm(r, len(blocks))
+        for blocks in partitions(list(range(h.vertex_count)))
+        if not any(e <= block for e in h.edge_sets for block in blocks)
+    )

@@ -1,10 +1,13 @@
 import json
+import sys
 from math import comb
 
 import pytest
 
-from hgcolor import Hypergraph, cli, experiment, loads_hypergraph, write_hypergraph
+from hgcolor import Hypergraph, cli, experiment, gen_fano, loads_hypergraph, write_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
+
+from conftest import naive_partition_count
 
 TRIAL_SETTINGS = ("r", "trials", "seed", "p", "count_chains", "workers")
 
@@ -146,8 +149,28 @@ class TestOracle:
         write_hypergraph(Hypergraph(1200, []), str(path))
         code, out, err = run(capsys, "oracle", "--in", str(path), "--oracle-budget", str(10**400))
         assert code == EXIT_BUDGET
-        assert err.startswith("error: colorability search on 1200 vertices nests deeper")
-        assert out == ""
+        tail = f"on 1200 vertices nests deeper than Python's recursion limit ({sys.getrecursionlimit()}) allows"
+        notes = [f"colorability search {tail}"] * 2 + [f"ordering census {tail}"]
+        assert err == "".join(f"budget: {note}\n" for note in notes)
+        assert json.loads(out) == {
+            "colorable": None, "witness": None, "proper_colorings": None, "orderings": None,
+            "colorable_note": notes[0], "count_note": notes[1], "ordering_note": notes[2],
+        }
+
+    def test_colorability_budget_hit_keeps_the_payload(self, tmp_path, capsys):
+        # vertex 7 is blocked in every coloring: the search tries 1,644
+        # assignments at r = 3 to refute it, the census 576
+        path = tmp_path / "blocked.hg"
+        write_hypergraph(Hypergraph(8, [(7,)]), str(path))
+        code, out, err = run(capsys, "oracle", "--in", str(path), "--r", "3", "--oracle-budget", "1000")
+        assert code == EXIT_BUDGET
+        note = "colorability search exceeded budget 1000"
+        assert err == f"budget: {note}\nbudget: {note}\n"
+        assert json.loads(out) == {
+            "colorable": None, "witness": None, "colorable_note": note,
+            "proper_colorings": None, "count_note": note,
+            "orderings": {"total": 40320, "proper": 0, "probability": "0/1"},
+        }
 
     def test_one_color_exits_2_without_traceback(self, tmp_path, capsys):
         # r = 1 is answered in closed form, so a long instance no longer
@@ -175,6 +198,10 @@ class TestExitCodes:
         if command == "color":
             assert payload["proper"] and payload["forced_vertices"] == []
         else:
+            # colors past those already used are tried once, so the count
+            # is exact within the budget
+            assert (code, err) == (EXIT_OK, "")
+            assert payload["proper_colorings"] == naive_partition_count(gen_fano(), 10**20)
             assert payload["colorable"] and payload["orderings"]["probability"] == "1/1"
 
     @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET"])

@@ -2,7 +2,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from hgcolor import (
     OrderingStatistics,
     count_proper_colorings,
     gen_complete_uniform,
+    gen_fano,
     greedy_color_by_permutation,
     greedy_success_exact,
     is_proper,
@@ -23,7 +24,7 @@ from hgcolor import (
 from hgcolor.greedy import _EdgeState
 from hgcolor.suite import fixed_suite
 
-from conftest import hypergraphs
+from conftest import hypergraphs, naive_partition_count
 
 
 class TestColorability:
@@ -62,8 +63,14 @@ class TestCounting:
 
     def test_budget_counts_the_search_not_r_to_the_v(self):
         # 2^12 colorings exceed the budget, but the search refutes K12 after
-        # 10 tried assignments
+        # 5 tried assignments
         assert count_proper_colorings(gen_complete_uniform(12, 2), 2, budget=100) == 0
+
+    @pytest.mark.parametrize("r", [50, 10**20])
+    def test_many_colors_answer_under_the_default_budget(self, fano, r):
+        # colors past those already used are tried once, so r enters only
+        # through the falling-factorial weights
+        assert count_proper_colorings(fano, r) == naive_partition_count(fano, r)
 
 
 class TestSearchBudget:
@@ -74,12 +81,13 @@ class TestSearchBudget:
         "oracle, h, nodes",
         [
             # the witness (1, 1, 2) after 4 tried assignments; counting
-            # tries all 2 + 4 + 8
+            # tries the first-use patterns 1 + 2 + 4 (vertex 0 tries color 1
+            # only, vertex 1 colors 1 and 2, and so does vertex 2 after each)
             pytest.param(is_r_colorable, Hypergraph(3, [(0, 1, 2)]), 4, id="colorable-edge"),
-            pytest.param(count_proper_colorings, Hypergraph(3, [(0, 1, 2)]), 14, id="count-edge"),
-            # no coloring: both exhaust the same tree
-            pytest.param(is_r_colorable, Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 10, id="colorable-triangle"),
-            pytest.param(count_proper_colorings, Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 10, id="count-triangle"),
+            pytest.param(count_proper_colorings, Hypergraph(3, [(0, 1, 2)]), 7, id="count-edge"),
+            # no coloring: both exhaust the same tree, 1 + 2 + 2
+            pytest.param(is_r_colorable, Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 5, id="colorable-triangle"),
+            pytest.param(count_proper_colorings, Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 5, id="count-triangle"),
         ],
     )
     def test_budget_is_the_tried_assignments(self, oracle, h, nodes):
@@ -243,7 +251,7 @@ def test_greedy_census_matches_naive_runs(h, r):
     assert stats.proper_orderings == sum(naive_greedy_is_proper(h, o, r) for o in orders)
 
 
-@given(hypergraphs(max_vertices=6), st.integers(2, 3))
+@given(hypergraphs(max_vertices=5), st.integers(2, 5))
 @settings(max_examples=40, deadline=None)
 def test_count_and_witness_match_enumeration(h, r):
     proper = list(proper_colorings_lex(h, r))
@@ -251,6 +259,12 @@ def test_count_and_witness_match_enumeration(h, r):
     ok, witness = is_r_colorable(h, r)
     assert ok == bool(proper)
     assert (witness.colors if ok else None) == (proper[0] if proper else None)
+
+
+@given(hypergraphs(max_vertices=6), st.sampled_from([2, 3, 4, 5, 6, 10**20]))
+@settings(max_examples=60, deadline=None)
+def test_count_matches_the_partition_count(h, r):
+    assert count_proper_colorings(h, r) == naive_partition_count(h, r)
 
 
 # 0 vertices, 1 vertex, no edge, one edge, and singleton edges (which block
@@ -280,35 +294,38 @@ def test_small_cases_match_naive_references(h, r):
 
 
 def reference_search(h, r, limit=None):
-    """The recursive search as it stood before the last vertex was counted
-    without placing it and before r = 1 had a closed form: (colorings found
-    up to `limit`, the first, tried (vertex, color) assignments), unbudgeted."""
+    """The recursive search over first-use patterns as it would run without
+    counting the last vertex's free colors unplaced and without the r = 1
+    closed form: vertex v tries colors 1..min(r, u + 1), u the largest color
+    of vertices 0..v-1, and a proper pattern of c colors counts r!/(r-c)!.
+    Returns (colorings counted until the count reaches `limit`, the first,
+    tried (vertex, color) assignments), unbudgeted."""
     state = _EdgeState(h, r)
     colors = [0] * h.vertex_count
     first = None
     found = nodes = 0
 
-    def search(v):
+    def search(v, used):
         nonlocal first, found, nodes
         if v == h.vertex_count:
-            found += 1
-            if found == 1:
+            found += perm(r, used)
+            if first is None:
                 first = colors.copy()
-            return found == limit
+            return limit is not None and found >= limit
         blocked = state.blocked(v)
         saved = state.save(v)
-        for j in range(1, r + 1):
+        for j in range(1, min(r, used + 1) + 1):
             nodes += 1
             if blocked >> j & 1:
                 continue
             colors[v] = j
             state.place(v, j)
-            if search(v + 1):
+            if search(v + 1, max(used, j)):
                 return True
             state.unplace(v, saved)
         return False
 
-    search(0)
+    search(0, 0)
     return found, first, nodes
 
 
