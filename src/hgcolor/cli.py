@@ -123,6 +123,9 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # the census needs two colors; refuse before any search runs
+    if args.r < 2:
+        raise ValueError(f"need r >= 2, got {args.r}")
     h = _load(args.infile)
     budget_hit = False
     try:

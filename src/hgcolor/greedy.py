@@ -9,11 +9,12 @@ precolor-then-greedy scheme for two colors, and a random equitable-partition
 baseline.
 
 That rule lives in the private edge state ``_EdgeState``: every scalar
-sweep here and the exact oracles in :mod:`hgcolor.oracle` decide blocked
-colors and update edges through it. The Monte Carlo trial engine
-(:mod:`hgcolor.montecarlo`) runs its own batched sweep over many
-processing orders at once; :func:`greedy_succeeds` is its reference in the
-tests.
+sweep here decides blocked colors and updates edges through it. The exact
+oracles in :mod:`hgcolor.oracle` search partial colorings, which they
+place and undo, on color-class bitmasks of their own. The Monte Carlo
+trial engine (:mod:`hgcolor.montecarlo`) runs its own batched sweep over
+many processing orders at once; :func:`greedy_succeeds` is its reference
+in the tests.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ class _EdgeState:
                     return self.all_blocked
         return mask
 
-    def save(self, v: int) -> list[int]:
-        """The seen colors of v's edges, for a later unplace(v, saved)."""
-        seen = self.seen
-        return [seen[ei] for ei in self.incidence[v]]
-
     def place(self, v: int, j: int) -> None:
         """Color the uncolored vertex v with j."""
         seen, left = self.seen, self.left
@@ -104,13 +100,6 @@ class _EdgeState:
                 seen[ei] = j
             elif c != j:
                 seen[ei] = _MIXED
-
-    def unplace(self, v: int, saved: list[int]) -> None:
-        """Undo place(v, j), given save(v) taken just before it."""
-        seen, left = self.seen, self.left
-        for ei, c in zip(self.incidence[v], saved):
-            left[ei] += 1
-            seen[ei] = c
 
 
 def _first_free(blocked: int) -> int:

@@ -173,14 +173,15 @@ class TestOracle:
         }
 
     def test_one_color_exits_2_without_traceback(self, tmp_path, capsys):
-        # r = 1 is answered in closed form, so a long instance no longer
-        # recurses once per vertex; the census then refuses r < 2
+        # r < 2 is refused before any search runs, so even at budget 0 no
+        # search prints a budget: line ahead of the error
         path = tmp_path / "long.hg"
         write_hypergraph(Hypergraph(1200, [(1198, 1199)]), str(path))
-        code, out, err = run(capsys, "oracle", "--in", str(path), "--r", "1")
-        assert code == EXIT_INVARIANT
-        assert err == "error: need r >= 2, got 1\n"
-        assert out == ""
+        for flags in ([], ["--oracle-budget", "0"]):
+            code, out, err = run(capsys, "oracle", "--in", str(path), "--r", "1", *flags)
+            assert code == EXIT_INVARIANT
+            assert err == "error: need r >= 2, got 1\n"
+            assert out == ""
 
 
 class TestExitCodes:

@@ -22,6 +22,7 @@ from hgcolor import (
     is_r_colorable,
 )
 from hgcolor.greedy import _EdgeState
+from hgcolor.oracle import _ClassMasks
 from hgcolor.suite import fixed_suite
 
 from conftest import hypergraphs, naive_partition_count
@@ -213,6 +214,34 @@ def test_count_invariant_under_relabeling(h, rnd):
     assert count_proper_colorings(h, 2) == count_proper_colorings(h.relabel(perm), 2)
 
 
+@given(hypergraphs(max_vertices=8), st.sampled_from([2, 3, 4, 10**20]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_class_masks_block_as_the_edge_state(h, r, data):
+    # the strategy draws singleton edges; add duplicates of drawn edges, and
+    # r = 10^20 (and r = 4 at low degree) is cut at the largest degree + 1
+    if h.edges:
+        extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
+        h = Hypergraph(h.vertex_count, h.edges + tuple(extra))
+    masks = _ClassMasks(h, r)
+    assert masks.all_blocked == _EdgeState(h, r).all_blocked
+    # place random vertices with random colors and undo the latest, as the
+    # searches do; the edge state replays the placements that stand
+    placed = []
+    for _ in range(3 * h.vertex_count):
+        edges = _EdgeState(h, r)
+        for v, j in placed:
+            edges.place(v, j)
+        uncolored = [u for u in range(h.vertex_count) if not masks.colors[u]]
+        assert [masks.blocked(u) for u in uncolored] == [edges.blocked(u) for u in uncolored]
+        if placed and (not uncolored or data.draw(st.booleans())):
+            masks.unplace(placed.pop()[0])
+        else:
+            v = data.draw(st.sampled_from(uncolored))
+            j = data.draw(st.integers(1, min(r, h.vertex_count)))
+            masks.place(v, j)
+            placed.append((v, j))
+
+
 # Naive references for the three oracles. They share no code with the
 # library's edge state: colors are a dict, edges are sets, and properness is
 # judged on the finished coloring by is_proper.
@@ -298,9 +327,11 @@ def reference_search(h, r, limit=None):
     counting the last vertex's free colors unplaced and without the r = 1
     closed form: vertex v tries colors 1..min(r, u + 1), u the largest color
     of vertices 0..v-1, and a proper pattern of c colors counts r!/(r-c)!.
-    Returns (colorings counted until the count reaches `limit`, the first,
-    tried (vertex, color) assignments), unbudgeted."""
-    state = _EdgeState(h, r)
+    Color j is blocked for v by the rule as stated, read from the colors
+    list: some edge of v has every other vertex colored j. Returns
+    (colorings counted until the count reaches `limit`, the first, tried
+    (vertex, color) assignments), unbudgeted."""
+    edges_of = [[e for e in h.edges if v in e] for v in range(h.vertex_count)]
     colors = [0] * h.vertex_count
     first = None
     found = nodes = 0
@@ -312,17 +343,14 @@ def reference_search(h, r, limit=None):
             if first is None:
                 first = colors.copy()
             return limit is not None and found >= limit
-        blocked = state.blocked(v)
-        saved = state.save(v)
         for j in range(1, min(r, used + 1) + 1):
             nodes += 1
-            if blocked >> j & 1:
+            if any(all(colors[u] == j for u in e if u != v) for e in edges_of[v]):
                 continue
             colors[v] = j
-            state.place(v, j)
             if search(v + 1, max(used, j)):
                 return True
-            state.unplace(v, saved)
+            colors[v] = 0
         return False
 
     search(0, 0)
