@@ -9,16 +9,16 @@ weights x = 1 - e^(-a/D) and y = 1 - e^(-b/(r D^r)) are handled through
 (a, b) so that D log(1-x) = -a and r D^r log(1-y) = -b stay exact. For
 fixed s = a + b the least feasible a and b have closed forms, and the
 slack s - a - b they leave is concave in s, so the weights at a given D
-sit where its slope changes sign. The bisection _max_feasible is the
-module's one search: it finds that point, the largest D and the
-edge-count coefficients.
+sit where its slope changes sign; Newton's method finds that point from a
+closed-form start. The bisection _max_feasible serves the largest D and
+the edge-count coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, expm1, inf, isfinite, log, log1p
+from math import exp, expm1, inf, isfinite, log, log1p, nextafter
 
 from .errors import NumericRangeError
 
@@ -181,10 +181,13 @@ def max_k_rcol(n: int, r: int) -> float:
     def feasible(k: float) -> bool:
         if k <= 0:
             return True
-        return (
-            expected_short_edges(k, n, r, p) + expected_conflicting_chains(k, n, r, p)
-            < 1.0
-        )
+        try:
+            total = expected_short_edges(k, n, r, p) + expected_conflicting_chains(k, n, r, p)
+        except OverflowError:
+            # a term past the float range is far above 1; at large r the
+            # doubling meets one within a few steps
+            return False
+        return total < 1.0
 
     return _max_feasible(feasible)
 
@@ -218,6 +221,13 @@ def log_neg_log1mexp(t: float) -> float:
     if t > -math.log(2.0):
         return log(-log(-expm1(t)))
     return log(-log1p(-exp(t)))
+
+
+def log1pexp(x: float) -> float:
+    """log(1 + e^x), the softplus, without overflow for large x."""
+    if x > 0.0:
+        return x + log1p(exp(-x))
+    return log1p(exp(x))
 
 
 def log_odds(t: float) -> float:
@@ -337,26 +347,45 @@ def _lll_weights(log_p1: float, log_p2: float, log_D: float, r: int) -> tuple[fl
     At s = a + b the conditions read a >= A(s) = -D log(1 - P1 e^s) and
     b >= B(s) = -r D^r log(1 - P2 e^(rs)), so weights exist iff the slack
     s - A(s) - B(s) is positive for some s. A and B are convex, so the slack
-    is concave on [0, s_max) and peaks where A'(s) + B'(s) = 1, with
-    A' = D P1 e^s / (1 - P1 e^s) and B' = r^2 D^r P2 e^(rs) / (1 - P2 e^(rs));
-    _max_feasible bisects for that point. The slack is split evenly between
-    a and b, which keeps both positive where A or B underflows.
+    is concave while P1 e^s and P2 e^(rs) stay below 1, and it peaks where
+    A'(s) + B'(s) = 1, with A' = D P1 e^s / (1 - P1 e^s) and
+    B' = r^2 D^r P2 e^(rs) / (1 - P2 e^(rs)).
+    Newton's method finds that point as the root of h = log(A' + B'), the
+    log-sum-exp of two convex increasing terms, starting where A' or B'
+    first reaches 1. The slack is split evenly between a and b, which keeps
+    both positive where A or B underflows.
     """
     log_r = log(r)
-    s_max = min(-log_p1, -log_p2 / r)
-
-    def rising(s: float) -> bool:
-        # A'(s) + B'(s) < 1, that is e^(log B') < 1 - e^(log A'), in logs; at
-        # s_max, r s + log P2 may round below 0 by far more than 1
-        log_da = log_D + log_odds(s + log_p1)
-        log_db = 2.0 * log_r + r * log_D + log_odds(r * s + log_p2)
-        return s < s_max and log_da < 0.0 and log_db < log(-expm1(log_da))
-
-    s = _max_feasible(rising, 0.0, s_max)
+    log_db0 = 2.0 * log_r + r * log_D  # log r^2 D^r
+    # A' >= 1 or B' >= 1 here, so h(s) >= 0 and the peak lies at or below;
+    # at n >= 10^16, s + log P1 or r s + log P2 may round to 0, so step off
+    s = min(-log_p1 - log1pexp(log_D), (-log_p2 - log1pexp(log_db0)) / r)
+    while s + log_p1 >= 0.0 or r * s + log_p2 >= 0.0:
+        s = nextafter(s, -inf)
+    # h is convex and increasing, so Newton steps from its right fall
+    # monotonically onto the root, lowering s and h; stop once a step fails
+    # to lower either, as where s + log P1 rounds alike over a stretch of s
+    h_prev = inf
+    while s > 0.0:
+        u, v = s + log_p1, r * s + log_p2
+        log_da = log_D + log_odds(u)
+        log_db = log_db0 + log_odds(v)
+        top = max(log_da, log_db)
+        h = top + log1pexp(min(log_da, log_db) - top)
+        if not h < h_prev:
+            break
+        # h' = (A' / (1 - e^u) + r B' / (1 - e^v)) / (A' + B')
+        slope = -exp(log_da - h) / expm1(u) - r * exp(log_db - h) / expm1(v)
+        lower = s - h / slope
+        if not lower < s:
+            break
+        s, h_prev = lower, h
+    if s <= 0.0:
+        return None
     log_a = log_D + log_neg_log1mexp(s + log_p1)
     log_b = log_r + r * log_D + log_neg_log1mexp(r * s + log_p2)
     # A or B alone at least s leaves no slack; testing in logs keeps exp in range
-    if s == 0.0 or max(log_a, log_b) >= log(s):
+    if max(log_a, log_b) >= log(s):
         return None
     a, b = exp(log_a), exp(log_b)
     slack = s - a - b

@@ -26,6 +26,7 @@ from hgcolor.bounds import (
     _lll_weights,
     _max_feasible,
     log1mexp,
+    log1pexp,
     log_neg_log1mexp,
     log_odds,
     min_two_color_bound,
@@ -329,7 +330,9 @@ class TestMaxKRcol:
             assert values == sorted(values)
 
     def test_defining_inequality(self):
-        for n, r in [(100, 2), (1000, 3), (500, 4)]:
+        # at r = 3000 and 10^5 the doubling meets a k whose chain term
+        # overflows; such a k is infeasible, not an error
+        for n, r in [(100, 2), (1000, 3), (500, 4), (3, 3000), (10, 10**5)]:
             k = max_k_rcol(n, r)
             p = reference_p(n)
             total = expected_short_edges(k, n, r, p) + expected_conflicting_chains(k, n, r, p)
@@ -337,6 +340,11 @@ class TestMaxKRcol:
             k2 = k + 1e-6
             total2 = expected_short_edges(k2, n, r, p) + expected_conflicting_chains(k2, n, r, p)
             assert total2 >= 1.0
+
+    def test_large_r_table_cell_completes(self):
+        (row,) = bound_table([10], [10**6])
+        assert row.error is None
+        assert row.max_k_rcol is not None and row.lll_log10_D is not None
 
     def test_ratio_to_reference_form(self):
         # with p = 2 ln(n)/n the chain term k^r p^(r-1) (2/r!) = 1 solves to
@@ -427,6 +435,16 @@ class TestLogNegLog1mexp:
         assert log_neg_log1mexp(1.0) == math.inf
 
 
+class TestLog1pexp:
+    def test_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(400):
+            for x in (-800.0, -37.5, -1.0, 0.0, 1e-3, 1.0, 40.0, 800.0, 1e22):
+                want = float(mpmath.log1p(mpmath.exp(mpmath.mpf(x))))
+                assert log1pexp(x) == pytest.approx(want, rel=1e-15)
+
+
 class TestLogOdds:
     def test_against_mpmath(self):
         import mpmath
@@ -473,7 +491,27 @@ def _weights_slack(log_p1, log_p2, log_D, r, s):
     return s - exp(log_a) - exp(log_b)
 
 
+def _rising(log_p1, log_p2, log_D, r, s):
+    """A'(s) + B'(s) < 1 in logs: the predicate a bisection for the peak of the
+    slack would test, kept as a reference for the Newton iteration."""
+    s_max = min(-log_p1, -log_p2 / r)
+    log_da = log_D + log_odds(s + log_p1)
+    log_db = 2.0 * log(r) + r * log_D + log_odds(r * s + log_p2)
+    return s < s_max and log_da < 0.0 and log_db < log(-math.expm1(log_da))
+
+
 class TestLLLWeights:
+    @given(st.integers(3, 2000), st.integers(2, 12), st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_newton_lands_where_the_bisection_predicate_turns(self, n, r, frac):
+        log_p1, log_p2 = structure_log_probabilities(n, r)
+        log_D = -log_p1 * frac
+        weights = _lll_weights(log_p1, log_p2, log_D, r)
+        assume(weights is not None)
+        s = sum(weights)
+        assert _rising(log_p1, log_p2, log_D, r, s * (1.0 - 1e-9))
+        assert not _rising(log_p1, log_p2, log_D, r, s * (1.0 + 1e-9))
+
     @given(st.integers(3, 2000), st.integers(2, 12), st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_weights_sit_at_the_peak_of_the_slack(self, n, r, frac):
@@ -508,9 +546,12 @@ class TestLLLWeights:
 
 
 # log D as certified with weights from a golden-section search of s / (A + B),
-# which bisecting the slope of the slack reproduces bit for bit: the cells of
-# `hgcolor bounds --n 50:500:50 --r 2,3`, and n = 10 and 100 at r = 50 and
-# 1000, where exponentiating log B before comparing it with log s overflows
+# which bisecting the slope of the slack and then Newton's method on it
+# reproduce bit for bit: the cells of `hgcolor bounds --n 50:500:50 --r 2,3`
+# (among them n = 350 at r = 3, where B underflows at D = 1), and n = 10 and
+# 100 at r = 50 and 1000, where exponentiating log B before comparing it with
+# log s overflows. The last 13, n = 4, 5, 7, 11 at r = 2, 3, 4 and n = 10 at
+# r = 300, were computed with the bisection before Newton's method replaced it
 _PINNED_LOG_D = [
     (50, 2, "0x1.07fb76afa489bp+5"), (100, 2, "0x1.0fb00f3e7d824p+6"),
     (150, 2, "0x1.9af6839a010bap+6"), (200, 2, "0x1.13077a0b2bbfdp+7"),
@@ -524,6 +565,13 @@ _PINNED_LOG_D = [
     (450, 3, "0x1.ed836a4e82d4ep+8"), (500, 3, "0x1.12405fb507ab1p+9"),
     (10, 50, "0x1.fe0d0b1d0ca9ap+4"), (100, 50, "0x1.8189a557c6c28p+8"),
     (10, 1000, "0x1.c02c97b3f7932p+5"), (100, 1000, "0x1.53a9ee4da39b1p+9"),
+    (4, 2, "0x1.3f07a6edf574ep-2"), (4, 3, "0x1.5a15b6905ac11p+0"),
+    (4, 4, "0x1.0aec184012c9fp+1"), (5, 2, "0x1.1318cdb51d102p+0"),
+    (5, 3, "0x1.40d26d9335b38p+1"), (5, 4, "0x1.c41a7bc2c27cdp+1"),
+    (7, 2, "0x1.461ee1d2ede1ap+1"), (7, 3, "0x1.339548840a026p+2"),
+    (7, 4, "0x1.9ac3bffcdcb6dp+2"), (11, 2, "0x1.5c973eccabae6p+2"),
+    (11, 3, "0x1.2bb001310773ap+3"), (11, 4, "0x1.84ba9a2afd34ep+3"),
+    (10, 300, "0x1.72e440faab3ccp+5"),
 ]
 
 
