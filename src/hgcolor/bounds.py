@@ -23,6 +23,8 @@ from math import exp, expm1, inf, isfinite, log, log1p, nextafter
 from .errors import NumericRangeError
 
 SEARCH_TOL = 1e-9
+# max_degree_lll's tolerance on log D
+LLL_TOL = 1e-6
 
 
 def reference_p(n: int) -> float:
@@ -392,26 +394,29 @@ def _lll_weights(log_p1: float, log_p2: float, log_D: float, r: int) -> tuple[fl
     return (a + slack / 2.0, b + slack / 2.0) if slack > 0.0 else None
 
 
-def max_degree_lll(n: int, r: int, tol: float = 1e-6) -> LLLParams:
+def max_degree_lll(n: int, r: int) -> LLLParams:
     """Largest dependency degree D certified colorable by the local lemma.
 
-    Binary search on log D to within tol; at each candidate the weights
+    Binary search on log D to within LLL_TOL; at each candidate the weights
     (a, b) come from the peak of the slack found by _lll_weights and are
     re-checked through lll_feasible_ab, so the result certifies with
-    nonnegative slack.
+    nonnegative slack. The bisection's last feasible candidate is its
+    result, so that candidate's certificate is returned as it stands.
     """
     log_p1, log_p2 = structure_log_probabilities(n, r)
+    best = None
 
-    def certify(log_D: float) -> LLLParams | None:
+    def certify(log_D: float) -> bool:
+        nonlocal best
         weights = _lll_weights(log_p1, log_p2, log_D, r)
         if weights is None:
-            return None
+            return False
         res = lll_feasible_ab(log_p1, log_p2, log_D, r, *weights)
-        if not res.feasible:
-            return None
-        return LLLParams(log_D, r, log_p1, log_p2, *weights, res.log_slack1, res.log_slack2)
+        if res.feasible:
+            best = LLLParams(log_D, r, log_p1, log_p2, *weights, res.log_slack1, res.log_slack2)
+        return res.feasible
 
-    if certify(0.0) is None:
+    if not certify(0.0):
         raise NumericRangeError(f"local lemma infeasible even at D=1 for n={n}, r={r}")
-    log_D = _max_feasible(lambda t: certify(t) is not None, 0.0, -log_p1 + 10.0, tol)
-    return certify(log_D)  # type: ignore[return-value]
+    _max_feasible(certify, 0.0, -log_p1 + 10.0, LLL_TOL)
+    return best  # type: ignore[return-value]

@@ -3,8 +3,9 @@
 Subcommands: gen, color, mc, oracle, bounds, experiment. mc and experiment
 take the same trial flags, and oracle and experiment the same
 --oracle-budget, which caps each exact oracle's tried (vertex, color)
-assignments; HGCOLOR_ORACLE_BUDGET sets its default. bounds writes the
-certified bound table (CSV or JSON, optionally an SVG plot).
+assignments; a budget of 0 refuses each at once, so experiment reports the
+census as over budget. bounds writes the certified bound table (CSV or
+JSON, optionally an SVG plot).
 Exit codes: 0 ok, 2 invariant violation / invalid instance,
 3 budget, numeric range or memory exceeded, 4 IO or parse error.
 """
@@ -48,16 +49,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _load(path: str):
@@ -127,34 +118,36 @@ def _cmd_oracle(args) -> int:
     if args.r < 2:
         raise ValueError(f"need r >= 2, got {args.r}")
     h = _load(args.infile)
-    budget_hit = False
-    try:
-        colorable, witness = is_r_colorable(h, args.r, args.oracle_budget)
-        payload = {"colorable": colorable, "witness": list(witness.colors) if witness else None}
-    except BudgetExceededError as exc:
-        budget_hit = True
-        payload = {"colorable": None, "witness": None, "colorable_note": str(exc)}
-        print(f"budget: {exc}", file=sys.stderr)
-    try:
-        payload["proper_colorings"] = count_proper_colorings(h, args.r, args.oracle_budget)
-    except BudgetExceededError as exc:
-        budget_hit = True
-        payload["proper_colorings"] = None
-        payload["count_note"] = str(exc)
-        print(f"budget: {exc}", file=sys.stderr)
-    try:
+
+    def colorable() -> dict:
+        found, witness = is_r_colorable(h, args.r, args.oracle_budget)
+        return {"colorable": found, "witness": list(witness.colors) if witness else None}
+
+    def census() -> dict:
         stats = greedy_success_exact(h, args.r, args.oracle_budget)
         prob = stats.success_probability
-        payload["orderings"] = {
+        return {"orderings": {
             "total": stats.total_orderings,
             "proper": stats.proper_orderings,
             "probability": f"{prob.numerator}/{prob.denominator}",
-        }
-    except BudgetExceededError as exc:
-        budget_hit = True
-        payload["orderings"] = None
-        payload["ordering_note"] = str(exc)
-        print(f"budget: {exc}", file=sys.stderr)
+        }}
+
+    # each oracle's payload keys, the key of its note when over budget, and the call
+    oracles = [
+        (("colorable", "witness"), "colorable_note", colorable),
+        (("proper_colorings",), "count_note",
+         lambda: {"proper_colorings": count_proper_colorings(h, args.r, args.oracle_budget)}),
+        (("orderings",), "ordering_note", census),
+    ]
+    payload: dict = {}
+    budget_hit = False
+    for keys, note, call in oracles:
+        try:
+            payload.update(call())
+        except BudgetExceededError as exc:
+            budget_hit = True
+            payload.update(dict.fromkeys(keys), **{note: str(exc)})
+            print(f"budget: {exc}", file=sys.stderr)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
@@ -210,7 +203,6 @@ def _cmd_experiment(args) -> int:
             count_chains=args.count_chains,
             workers=args.workers,
             oracle_budget=args.oracle_budget,
-            run_oracle=not args.no_oracle,
         )
     # an unwritable path fails before any computation
     os.makedirs(args.outdir, exist_ok=True)
@@ -225,8 +217,6 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    oracle_budget = _env_int("HGCOLOR_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET)
-
     # parents for the flags that several subcommands declare alike
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--in", dest="infile", required=True)
@@ -242,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument("--count-chains", action="store_true")
     trials.add_argument("--workers", type=int, default=1)
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--oracle-budget", type=int, default=oracle_budget)
+    budget.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
 
     parser = argparse.ArgumentParser(prog="hgcolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,11 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument(
         "--config",
-        help="JSON config file in place of --in, --r, the trial and budget flags and --no-oracle"
+        help="JSON config file in place of --in, --r, the trial flags and --oracle-budget"
         " (--out still applies)",
     )
     e.add_argument("--in", dest="infile")
-    e.add_argument("--no-oracle", action="store_true")
     e.add_argument("--out", dest="outdir", default="experiment_out")
     e.set_defaults(func=_cmd_experiment)
 
@@ -294,12 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:  # a malformed budget variable
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (HypergraphFormatError, OSError) as exc:

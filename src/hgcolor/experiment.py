@@ -5,11 +5,13 @@ All numeric report content is a deterministic function of the config and
 seed (worker count included); the only nondeterministic field is the
 timestamp, which comparison helpers exclude. A report takes the Wilson
 interval and uniformity from the Monte Carlo report and an over-budget note
-from the oracle's own error, so nothing is computed twice. Colorability is
-read off the ordering census: greedy succeeds on some order iff h is
-r-colorable (a successful run is proper; ordered by the classes of a proper
-coloring c, greedy gives each v a color <= c(v), since only an edge that c
-makes monochromatic could block c(v)).
+from the oracle's own error, so nothing is computed twice. The ordering
+census always runs under the config's oracle budget; a budget of 0 refuses
+it at once, which leaves the report's oracle section over budget.
+Colorability is read off the ordering census: greedy succeeds on some order
+iff h is r-colorable (a successful run is proper; ordered by the classes of
+a proper coloring c, greedy gives each v a color <= c(v), since only an edge
+that c makes monochromatic could block c(v)).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class ExperimentConfig:
     count_chains: bool = False
     workers: int = 1
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
-    run_oracle: bool = True
 
     def __post_init__(self):
         for f in fields(self):
@@ -322,27 +323,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         workers=config.workers,
     )
 
-    oracle_sec = OracleSection(within_budget=False, note="oracle disabled")
-    if config.run_oracle:
-        try:
-            stats = greedy_success_exact(h, config.r, config.oracle_budget)
-            prob = stats.success_probability
-            lo, hi = mc.wilson99
-            inside = lo <= float(prob) <= hi
-            if prob == 0 and mc.successes > 0:
-                violations.append("successes observed on an instance with zero exact probability")
-            if prob == 1 and mc.successes < mc.trials:
-                violations.append("failures observed on an instance with exact probability one")
-            oracle_sec = OracleSection(
-                within_budget=True,
-                colorable=stats.proper_orderings > 0,
-                ordering_total=stats.total_orderings,
-                ordering_proper=stats.proper_orderings,
-                exact_probability=f"{prob.numerator}/{prob.denominator}",
-                mc_inside_wilson99=inside,
-            )
-        except BudgetExceededError as exc:
-            oracle_sec = OracleSection(within_budget=False, note=str(exc))
+    try:
+        stats = greedy_success_exact(h, config.r, config.oracle_budget)
+        prob = stats.success_probability
+        lo, hi = mc.wilson99
+        inside = lo <= float(prob) <= hi
+        if prob == 0 and mc.successes > 0:
+            violations.append("successes observed on an instance with zero exact probability")
+        if prob == 1 and mc.successes < mc.trials:
+            violations.append("failures observed on an instance with exact probability one")
+        oracle_sec = OracleSection(
+            within_budget=True,
+            colorable=stats.proper_orderings > 0,
+            ordering_total=stats.total_orderings,
+            ordering_proper=stats.proper_orderings,
+            exact_probability=f"{prob.numerator}/{prob.denominator}",
+            mc_inside_wilson99=inside,
+        )
+    except BudgetExceededError as exc:
+        oracle_sec = OracleSection(within_budget=False, note=str(exc))
 
     n, r, p = mc.uniformity_n, config.r, mc.p
     bound_sec = BoundSection(None, None, None, None, None, mc.mean_short_edges, mc.mean_conflicting_pairs)

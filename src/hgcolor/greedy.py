@@ -51,6 +51,12 @@ def sample_birth_times(vertex_count: int, rng_seed: int) -> BirthTimeAssignment:
     return BirthTimeAssignment(rng.random(vertex_count).tolist())
 
 
+def _usable_colors(h: Hypergraph, r: int) -> int:
+    """How many of the colors 1..r the greedy rule can take on h: a vertex
+    closes at most its degree of edges, so none past the largest degree + 1."""
+    return min(r, max(map(len, h.incidence), default=0) + 1)
+
+
 class _EdgeState:
     """Per-edge state of a partial coloring: the color the edge has seen
     (_NONE, _MIXED or one color j) and how many of its vertices are
@@ -73,7 +79,7 @@ class _EdgeState:
         self.incidence = h.incidence
         self.seen = [_NONE] * h.edge_count
         self.left = list(h.edge_sizes)
-        cut = r > max(map(len, h.incidence), default=0) + 1
+        cut = _usable_colors(h, r) < r
         self.all_blocked = -1 if cut else ((1 << r) - 1) << 1
         self.forced_mark = _MIXED if cut else r
 

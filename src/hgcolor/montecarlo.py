@@ -68,7 +68,7 @@ import numpy as np
 
 from .bounds import reference_p
 from .conflicts import IntervalPartition
-from .greedy import equitable_partition_color
+from .greedy import _usable_colors, equitable_partition_color
 from .hypergraph import Hypergraph, uniformity
 
 # the standard normal quantiles at 0.975 and 0.995 (scipy's ndtri, to the bit)
@@ -200,10 +200,8 @@ class _TrialEngine:
             self.verdict = False
         elif not h.edge_count:
             self.verdict = True
-        # a vertex closes at most its degree of edges, so no color past the
-        # largest degree + 1 is taken: a trial succeeds when its codes stay
-        # below 1 << colors
-        colors = min(r, max(map(len, h.incidence), default=0) + 1)
+        # a trial succeeds when its codes stay below 1 << colors
+        colors = _usable_colors(h, r)
         self.code_type = np.int64 if colors <= _INT64_COLORS else object
         self.code_limit = 1 << colors
         # the ranks within a trial, as 16-bit sort keys where they fit

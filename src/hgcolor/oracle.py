@@ -36,7 +36,7 @@ from math import factorial
 from operator import mul
 
 from .errors import BudgetExceededError
-from .greedy import _first_free
+from .greedy import _first_free, _usable_colors
 from .hypergraph import Coloring, Hypergraph
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -108,7 +108,7 @@ class _ClassMasks:
             for v in e:
                 rests[v].setdefault(mask ^ (1 << v), e[0] if e[0] != v else e[-1])
         self.rests = [list(rest.items()) for rest in rests]
-        cut = r > max(map(len, h.incidence), default=0) + 1
+        cut = _usable_colors(h, r) < r
         self.all_blocked = -1 if cut else ((1 << r) - 1) << 1
 
     def blocked(self, v: int) -> int:

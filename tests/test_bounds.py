@@ -22,7 +22,9 @@ from hgcolor import (
     prob_edge_short_exact,
     two_color_bound,
 )
+from hgcolor import bounds
 from hgcolor.bounds import (
+    LLL_TOL,
     _lll_weights,
     _max_feasible,
     log1mexp,
@@ -581,10 +583,25 @@ class TestMaxDegreeLLL:
             max_degree_lll(3, 2)
 
     def test_no_grid_weights_beat_the_certificate(self):
-        tol = 1e-6
         for n, r in [(4, 2), (5, 3), (11, 4), (50, 2), (100, 3), (500, 3)]:
-            cert = max_degree_lll(n, r, tol=tol)
-            assert not _grid_feasible(cert.log_p1, cert.log_p2, cert.log_D + 2 * tol, r), (n, r)
+            cert = max_degree_lll(n, r)
+            assert not _grid_feasible(cert.log_p1, cert.log_p2, cert.log_D + 2 * LLL_TOL, r), (n, r)
+
+    @pytest.mark.parametrize("n, r", [(4, 2), (50, 2), (100, 3), (500, 3)])
+    def test_each_candidate_is_weighed_once(self, monkeypatch, n, r):
+        """The bisection's certificate is returned as it stands, not
+        recomputed: no log D reaches _lll_weights twice, and the returned
+        weights are those found at the returned log D."""
+        seen = {}
+
+        def counted(log_p1, log_p2, log_D, r):
+            assert log_D not in seen, log_D
+            seen[log_D] = _lll_weights(log_p1, log_p2, log_D, r)
+            return seen[log_D]
+
+        monkeypatch.setattr(bounds, "_lll_weights", counted)
+        cert = max_degree_lll(n, r)
+        assert seen[cert.log_D] == (cert.a, cert.b)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_at_least_the_grid_search_degree(self, r):

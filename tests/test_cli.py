@@ -6,6 +6,7 @@ import pytest
 
 from hgcolor import Hypergraph, cli, experiment, gen_fano, loads_hypergraph, write_hypergraph
 from hgcolor.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_IO, EXIT_OK, build_parser, main
+from hgcolor.oracle import DEFAULT_ORACLE_BUDGET
 
 from conftest import naive_partition_count
 
@@ -205,13 +206,21 @@ class TestExitCodes:
             assert payload["proper_colorings"] == naive_partition_count(gen_fano(), 10**20)
             assert payload["colorable"] and payload["orderings"]["probability"] == "1/1"
 
-    @pytest.mark.parametrize("name", ["HGCOLOR_ORACLE_BUDGET"])
-    def test_non_integer_env_var(self, monkeypatch, capsys, name):
-        monkeypatch.setenv(name, "lots")
-        code, out, err = run(capsys, "gen", "fano")
-        assert code == EXIT_BUDGET
-        assert name in err
-        assert out == ""
+    @pytest.mark.parametrize("command", ["gen", "oracle", "experiment"])
+    def test_oracle_budget_is_no_variable(self, tmp_path, monkeypatch, capsys, command):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        flags = {"gen": ["fano"], "oracle": ["--in", str(path)],
+                 "experiment": ["--in", str(path), "--trials", "5", "--out", str(tmp_path / "o")]}
+        monkeypatch.setenv("HGCOLOR_ORACLE_BUDGET", "lots")
+        code, out, err = run(capsys, command, *flags[command])
+        assert (code, err) == (EXIT_OK, "")
+        if command == "oracle":
+            assert json.loads(out)["orderings"]["probability"] == "0/1"
+        if command == "experiment":
+            report = json.loads((tmp_path / "o" / "report.json").read_text())
+            assert report["config"]["oracle_budget"] == DEFAULT_ORACLE_BUDGET
+            assert report["oracle"]["within_budget"]
 
     @pytest.mark.parametrize("command", ["mc", "experiment"])
     def test_chain_ceiling_is_no_flag_and_no_variable(self, tmp_path, monkeypatch, capsys, command):
@@ -227,18 +236,13 @@ class TestExitCodes:
         assert "unrecognized arguments: --chain-ceiling 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["oracle", "experiment"])
-    @pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
-    def test_negative_oracle_budget_exits_2(self, tmp_path, monkeypatch, capsys, command, by_env):
+    def test_negative_oracle_budget_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "f.hg"
         run(capsys, "gen", "fano", "--out", str(path))
         outdir = tmp_path / "o"
-        flags = ["--in", str(path), "--r", "2"]
+        flags = ["--in", str(path), "--r", "2", "--oracle-budget", "-5"]
         if command == "experiment":
             flags += ["--trials", "5", "--out", str(outdir)]
-        if by_env:
-            monkeypatch.setenv("HGCOLOR_ORACLE_BUDGET", "-5")
-        else:
-            flags += ["--oracle-budget", "-5"]
         code, out, err = run(capsys, command, *flags)
         assert code == EXIT_INVARIANT
         assert err == "error: the oracle budget must be nonnegative, got -5\n"
@@ -426,13 +430,6 @@ class TestSharedFlags:
             exp = vars(parser.parse_args(["experiment", "--in", "x.hg", *flags]))
             assert {k: mc[k] for k in TRIAL_SETTINGS} == {k: exp[k] for k in TRIAL_SETTINGS}
 
-    def test_oracle_and_experiment_read_the_budget_variable(self, monkeypatch):
-        monkeypatch.setenv("HGCOLOR_ORACLE_BUDGET", "123")
-        parser = build_parser()
-        oracle = parser.parse_args(["oracle", "--in", "x.hg"])
-        experiment = parser.parse_args(["experiment", "--in", "x.hg"])
-        assert oracle.oracle_budget == experiment.oracle_budget == 123
-
     def test_experiment_has_no_plot_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["experiment", "--in", "x.hg", "--plot"])
@@ -471,10 +468,12 @@ class TestExperiment:
         inst = tmp_path / "c.hg"
         run(capsys, "gen", "complete", "--m", str(n), "--n", str(n), "--out", str(inst))
         outdir = tmp_path / "exp"
-        code, _, err = run(capsys, "experiment", "--in", str(inst), "--r", str(r), "--no-oracle",
+        code, _, err = run(capsys, "experiment", "--in", str(inst), "--r", str(r), "--oracle-budget", "0",
                            "--trials", "5", "--out", str(outdir))
         assert (code, err) == (EXIT_OK, "")
-        assert json.loads((outdir / "report.json").read_text())["bounds"]["k_coefficient"] is not None
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["bounds"]["k_coefficient"] is not None
+        assert report["oracle"]["note"] == f"ordering census on {n} vertices exceeds budget 0"
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -534,6 +533,35 @@ class TestExperiment:
         assert code == EXIT_INVARIANT
         assert err == "error: unknown config fields: chain_ceiling\n" and out == ""
         assert not (tmp_path / "o").exists()
+
+    def test_run_oracle_is_no_flag_and_no_field(self, tmp_path, capsys):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--in", str(path), "--no-oracle", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_INVARIANT
+        assert "unrecognized arguments: --no-oracle" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": {"kind": "fano"}, "trials": 5, "run_oracle": False}))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (EXIT_INVARIANT, "")
+        assert err == "error: unknown config fields: run_oracle\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_oracle_budget_skips_the_census(self, tmp_path, capsys):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        outdir = tmp_path / "o"
+        code, _, err = run(capsys, "experiment", "--in", str(path), "--trials", "5",
+                           "--oracle-budget", "0", "--out", str(outdir))
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["oracle"] == {
+            "within_budget": False, "colorable": None, "ordering_total": None, "ordering_proper": None,
+            "exact_probability": None, "mc_inside_wilson99": None,
+            "note": "ordering census exceeded budget 0",
+        }
+        assert report["mc"]["trials"] == 5 and not report["invariant_violations"]
 
     @pytest.mark.parametrize(
         "raw",

@@ -204,7 +204,7 @@ class TestRunExperiment:
         it feeds are computed; where it rounds to 0.0 they stay null (at
         n = 1076 and r = 2 only k does)."""
         cfg = ExperimentConfig(
-            source={"kind": "complete", "m": n, "n": n}, r=r, trials=5, seed=1, run_oracle=False
+            source={"kind": "complete", "m": n, "n": n}, r=r, trials=5, seed=1, oracle_budget=0
         )
         report = run_experiment(cfg)
         bounds = report.bounds
@@ -229,7 +229,7 @@ class TestRunExperiment:
         m, n, edges = instance
         cfg = ExperimentConfig(
             source={"kind": "random", "m": m, "n": n, "edges": edges, "seed": 1},
-            r=r, trials=20, seed=0, run_oracle=False,
+            r=r, trials=20, seed=0, oracle_budget=0,
         )
         report = run_experiment(cfg)
         p = report.mc["p"]
