@@ -27,8 +27,9 @@ and one closing where e opens (meets[e] > 0 in the engine). Proof: take
 e = e_r. Its last vertex v has its r colors blocked by r edges closing at
 v (an edge blocks one color). Every other vertex u of e took r unforced,
 so 1..r-1 were blocked at u by r - 1 edges closing at u, and first(e) is
-such a u. The Monte Carlo engine counts conflicting walks without a meet
-test, and sweeps only the trials that have one. Its two scalar references,
+such a u. The Monte Carlo engine sweeps only the trials with this
+certificate, or, when it counts chains, the trials with a conflicting
+walk. It counts those walks without a meet test. Its two scalar references,
 :func:`conflicting_chains` (the last -> first matches) and the filter over
 :func:`enumerate_chains` (every single-vertex meet, the scan
 :func:`dangerous_pairs` reads), share one depth-first walk,

@@ -29,14 +29,17 @@ left. Those counts are exact below ``walk_limit`` = (2^63 - 1) // (m + 1),
 which the engine derives from m; a trial that reaches it counts 0 chains
 and is reported in ``chain_ceiling_trials``. The greedy sweep,
 ``_succeeds``, reads each edge once, at its closing position, in entries
-sorted by rank: the closing vertex's blocked colors are those its closed
-edges show as their only color. It runs only
-on the trials with a pair, or with a conflicting r-chain when chains are
-counted: by the lemma in :mod:`hgcolor.conflicts`, on an instance with no
-singleton edge a trial that fails has a conflicting r-chain, and every
-other trial succeeds. ``_spans`` reads the birth times in processing order
-for the short edges and B/P/R, which splits the pairs by the interval of
-the vertex where each edge opens. Each trial's counts are the columns of
+sorted by rank: the vertex being colored holds the code -1, every bit set,
+so the AND of an edge's codes is the one color the edge blocks, or 0. It
+runs only on the trials that can fail: by the lemmas in
+:mod:`hgcolor.conflicts`, on an instance with no singleton edge a trial
+that fails has a conflicting r-chain and the forced-vertex certificate, and
+every other trial succeeds. ``_certified`` reads the certificate off the
+closing counts of ``_meets``; when chains are counted, the trials with a
+chain, which the count gives at no further cost, are swept instead.
+``_spans`` reads the birth times in processing order for the short edges
+and B/P/R, which splits the pairs by the interval of the vertex where each
+edge opens. Each trial's counts are the columns of
 :class:`_Column`; :func:`hgcolor.greedy.greedy_succeeds` and the
 per-assignment functions of :mod:`hgcolor.conflicts` are their references
 in the tests. Pairs are counted in every trial, short edges whenever there
@@ -214,15 +217,16 @@ class _TrialEngine:
         out = np.zeros((len(times), len(_Column)), dtype=np.int64)
         position, flat = self._positions(times)
         edge_pos, opening, closing = self._edge_positions(position)
-        meets, out[:, _Column.PAIRS] = self._meets(opening, closing)
-        # a row can fail only with a conflicting r-chain, whose first step
-        # is a pair; a flagged row has more chains than it counts exactly
+        n_close, meets, out[:, _Column.PAIRS] = self._meets(opening, closing)
+        # a row can fail only with a conflicting r-chain and with the
+        # forced-vertex certificate; a flagged row has more chains than it
+        # counts exactly
         if self.count_chains:
             out[:, _Column.CHAINS], out[:, _Column.CEILING] = self._chains(meets, opening, closing)
-            can_fail = out[:, _Column.CHAINS] | out[:, _Column.CEILING]
+            can_fail = np.flatnonzero(out[:, _Column.CHAINS] | out[:, _Column.CEILING])
         else:
-            can_fail = out[:, _Column.PAIRS]
-        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, np.flatnonzero(can_fail))
+            can_fail = self._certified(n_close, meets, edge_pos, closing)
+        out[:, _Column.SUCCESS] = self._succeeds(edge_pos, closing, can_fail)
         del edge_pos  # the batch's largest array; free before the spans
         if self.short_threshold is not None:
             out[:, _Column.SHORT], b, r_int = self._spans(times, flat, opening, closing, meets)
@@ -256,30 +260,54 @@ class _TrialEngine:
             position.take(column, axis=1, out=layer, mode="clip")
         return edge_pos, edge_pos.min(axis=0, initial=position.size), edge_pos.max(axis=0, initial=0)
 
-    def _meets(self, opening: np.ndarray, closing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two-edge walks ending in each edge, the edges that close where
-        it opens less itself if it is a singleton ((e, e) is no pair), and
-        their row sums, the pair counts."""
+    def _meets(self, opening: np.ndarray, closing: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges closing at each position, the two-edge walks ending in
+        each edge, the edges that close where it opens less itself if it is a
+        singleton ((e, e) is no pair), and their row sums, the pair counts."""
         n_close = np.bincount(closing.ravel(), minlength=len(closing) * self.v_count)
         meets = n_close.take(opening)
         meets[:, self.singleton_edges] -= 1
-        return meets, meets.sum(axis=1)
+        return n_close, meets, meets.sum(axis=1)
+
+    def _certified(self, n_close: np.ndarray, meets: np.ndarray, edge_pos: np.ndarray,
+                   closing: np.ndarray) -> np.ndarray:
+        """The rows with an edge e that has the forced-vertex certificate of
+        :mod:`hgcolor.conflicts`: meets[e] > 0, at least r edges closing at
+        e's closing position and at least r - 1 at each vertex of e, given
+        the edges closing at each position. On an instance with no singleton
+        edge every failed row has one; with a `verdict` none is swept, so
+        none is tested. Read sparsely, over the edges with a meet."""
+        if self.verdict is not None:
+            return np.empty(0, dtype=np.intp)
+        entry = np.flatnonzero(meets)  # flat (trial * m + edge) indices
+        entry = entry[n_close.take(closing.ravel().take(entry)) >= self.r]
+        at_vertices = n_close.take(edge_pos.reshape(len(edge_pos), -1).take(entry, axis=1))
+        entry = entry[at_vertices.min(axis=0) >= self.r - 1]
+        # a mask, not a sort: where most rows fail, thousands of entries pass
+        certified = np.zeros(len(meets), dtype=bool)
+        certified[entry // meets.shape[1]] = True
+        return np.flatnonzero(certified)
 
     def _succeeds(self, edge_pos: np.ndarray, closing: np.ndarray, rows: np.ndarray) -> np.ndarray | bool:
         """greedy_succeeds for each trial of a batch, given the positions of
         every edge's vertices, their largest and the rows that can fail.
 
         On an instance with no singleton edge a failed row has a conflicting
-        r-chain (the lemma in :mod:`hgcolor.conflicts`), so every row outside
-        `rows` succeeds and only `rows` are swept; `verdict` decides the
-        instances with a singleton edge or none, before any row is read.
-        A color is blocked for a vertex only through an edge that the vertex
-        closes, and then every other vertex of the edge has its final color. So
-        the sweep reads each edge once, at its closing position, with the
-        entries (trial, edge) sorted by rank, closing - trial * V.
-        A vertex that closes no edge takes color 1, written before the sweep.
-        Colors are kept as codes in one array indexed by position, and a
-        trial succeeds when its largest code is below `code_limit`.
+        r-chain and the forced-vertex certificate (the lemmas in
+        :mod:`hgcolor.conflicts`), so only `rows`, those with the
+        certificate or, when chains are counted, with a chain, are swept,
+        and every other row succeeds; `verdict` decides the instances with a
+        singleton edge or none, before any row is read. A color is blocked for a vertex only through an edge that
+        the vertex closes, and then every other vertex of the edge has its
+        final color. So the sweep reads each edge once, at its closing
+        position, with the entries (trial, edge) sorted by rank,
+        closing - trial * V. Colors are kept as codes in one array indexed by
+        position. A vertex that closes no edge takes color 1, written before
+        the sweep, and every other vertex holds the sentinel -1 until its
+        rank: -1 & x == x, so the AND of an edge's codes, padding copies
+        included, is the one color its other vertices share, the color it
+        blocks, or 0. A trial succeeds when its largest code is below
+        `code_limit`.
         """
         if self.verdict is not None:
             return self.verdict
@@ -307,16 +335,16 @@ class _TrialEngine:
         group_end = np.searchsorted(group_rank, self.ranks, side="right")
         local = group - np.searchsorted(rank, group_rank)
         codes = np.ones(trials * self.v_count, dtype=self.code_type)
-        codes[target] = 0
+        codes[target] = -1
         e0 = g0 = 0
         for e1, g1 in zip(entry_end.tolist(), group_end.tolist()):
             if g1 == g0:
                 continue
-            # the closing vertex is uncolored (code 0) and every other vertex
-            # of its edges colored, so an edge blocks a color exactly when
-            # its codes OR to that color's single bit
-            seen = np.bitwise_or.reduce(codes.take(cells.take(entry[e0:e1], axis=1)), axis=0)
-            blocked = np.bitwise_or.reduceat(np.where(seen & (seen - 1), 0, seen), local[g0:g1])
+            # the closing vertex is uncolored (code -1, every bit set) and
+            # every other vertex of its edges colored, so an edge's codes
+            # AND to the one color it blocks, or to 0
+            seen = np.bitwise_and.reduce(codes.take(cells.take(entry[e0:e1], axis=1)), axis=0)
+            blocked = np.bitwise_or.reduceat(seen, local[g0:g1])
             codes[target[g0:g1]] = ~blocked & (blocked + 1)  # the lowest free color
             e0, g0 = e1, g1
         success = np.ones(trials, dtype=bool)

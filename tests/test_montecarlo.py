@@ -48,6 +48,20 @@ def _engine(h, r, p, count_chains, ceiling=None):
     return engine(h, r, p, count_chains)
 
 
+def _swept_rows(engine):
+    """Make `engine` record the rows each of its sweeps is given, in the
+    list returned: run hands its sweep the rows that can fail."""
+    swept = []
+    succeeds = engine._succeeds
+
+    def recording(edge_pos, closing, rows):
+        swept.append(rows)
+        return succeeds(edge_pos, closing, rows)
+
+    engine._succeeds = recording
+    return swept
+
+
 class TestWilson:
     def test_contains_estimate(self):
         for s, t in [(0, 10), (5, 10), (10, 10), (137, 2000)]:
@@ -302,7 +316,8 @@ def test_batch_rows_match_scalar_references():
     """Every row of a batch equals the scalar references (ties, singleton
     edges, isolated vertices, no edges and mixed edge sizes all come from
     the strategy), with chains counted (the sweep then runs on the rows
-    with a chain or a flag) and without (on the rows with a pair)."""
+    with a chain or a flag) and without (on the rows with the forced-vertex
+    certificate)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -581,8 +596,9 @@ def _success_rows(h, r, block, chains=False, ceiling=None):
 def test_success_rows_match_scalar(instance, r):
     """Row by row, the closing-edge sweep agrees with greedy_succeeds, also
     where nearly every row fails (the first instance at r = 2), where few
-    rows have a pair (the fourth) and where some rows with a pair fail (the
-    last), so the rows without one are the ones left unswept."""
+    rows have the forced-vertex certificate (the fourth) and where some
+    rows with it fail (the last), so the rows without it are the ones left
+    unswept."""
     h = gen_random_uniform(*instance, seed=1)
     block = np.random.default_rng(8).random((150, h.vertex_count))
     got, want = _success_rows(h, r, block)
@@ -626,12 +642,12 @@ def test_success_rows_past_the_chain_ceiling_are_swept(instance, r, ceiling):
 
 
 def test_stages_compose_on_the_rows_that_can_fail():
-    """The rows of a batch that can fail, stacked as a batch of their own,
-    get run's success column from _positions -> _edge_positions ->
-    _succeeds alone: the sweep reads no row outside those it is given, and
-    a row's ranks do not depend on where it sits in a batch. Ties come from
-    a coarse grid of times, singleton edges from the first strategy, and
-    rows that fail without one mostly from the denser second."""
+    """The rows of a batch that run hands its sweep, stacked as a batch of
+    their own, get run's success column from _positions -> _edge_positions
+    -> _succeeds alone: the sweep reads no row outside those it is given,
+    and a row's ranks do not depend on where it sits in a batch. Ties come
+    from a coarse grid of times, singleton edges from the first strategy,
+    and rows that fail without one mostly from the denser second."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -657,19 +673,56 @@ def test_stages_compose_on_the_rows_that_can_fail():
         more = data.draw(st.lists(st.lists(time, min_size=v, max_size=v), max_size=10))
         block = np.array([times, *more], dtype=float).reshape(-1, v)
         engine = _engine(h, r, None, count_chains, ceiling)
-        rows = engine.run(block)
-        if count_chains:
-            can_fail = rows[:, _Column.CHAINS] | rows[:, _Column.CEILING]
-        else:
-            can_fail = rows[:, _Column.PAIRS]
-        stacked = block[can_fail > 0]
+        swept = _swept_rows(engine)
+        success = engine.run(block)[:, _Column.SUCCESS]
+        (can_fail,) = swept
+        stacked = block[can_fail]
         position, _ = engine._positions(stacked)
         edge_pos, _, closing = engine._edge_positions(position)
         got = engine._succeeds(edge_pos, closing, np.arange(len(stacked)))
-        want = rows[can_fail > 0, _Column.SUCCESS]
-        assert np.broadcast_to(got, len(stacked)).tolist() == want.astype(bool).tolist()
+        assert np.broadcast_to(got, len(stacked)).tolist() == success[can_fail].astype(bool).tolist()
 
     check()
+
+
+def test_rows_without_the_certificate_succeed():
+    """Without chains the engine sweeps only the rows with the forced-vertex
+    certificate, and its success column is greedy_succeeds on every row:
+    over instances without a singleton edge, with padded edges from mixed
+    edge sizes, ties from a coarse grid of times and r = 2, 3, 4. Across the
+    examples some rows with a pair lack the certificate and are left
+    unswept, so the filter is not the pair filter."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from hgcolor.greedy import greedy_succeeds
+    from hgcolor.montecarlo import _Column
+
+    from conftest import hypergraphs
+
+    dropped = []
+
+    @given(
+        hypergraphs(max_vertices=7, max_edges=14, min_edge_size=2, max_edge_size=4),
+        st.data(),
+        st.sampled_from([2, 3, 4]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def check(h, data, r):
+        v = h.vertex_count
+        time = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
+        block = np.array(
+            data.draw(st.lists(st.lists(time, min_size=v, max_size=v), min_size=1, max_size=10)), dtype=float
+        )
+        engine = _engine(h, r, None, False)
+        swept = _swept_rows(engine)
+        rows = engine.run(block)
+        want = [int(greedy_succeeds(h, np.argsort(row, kind="stable").tolist(), r)) for row in block]
+        assert rows[:, _Column.SUCCESS].tolist() == want
+        dropped.append(len(np.setdiff1d(np.flatnonzero(rows[:, _Column.PAIRS]), swept[0])))
+
+    check()
+    assert sum(dropped) > 0
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -1,5 +1,6 @@
 """Every script under scripts/ starts and prints its help; the two that
-write CSVs run on small inputs and write the rows they promise."""
+write CSVs run on small inputs and write the rows they promise, and the
+engine stage timer prints every stage `run` calls."""
 
 import csv
 import os
@@ -70,3 +71,18 @@ def test_mc_vs_oracle_writes_one_row_per_suite_instance(tmp_path):
     for row in rows:
         assert 0.0 <= float(row["wilson99_lo"]) <= float(row["mc_estimate"]) <= float(row["wilson99_hi"]) <= 1.0
         assert row["inside"] in ("True", "False")
+
+
+@pytest.mark.parametrize("chains", [[], ["--chains"]])
+def test_engine_stages_times_every_stage(chains):
+    proc = run_script("engine_stages.py", "--random", "40", "8", "200", "--r", "3", "--batch", "10",
+                      "--reps", "3", *chains)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"40 vertices, 200 edges, r = 3, chains {'on' if chains else 'off'}, 10 trials per batch, 3 batches"
+    stages = [line.split()[0] for line in lines[2:-1]]
+    assert stages == ["_positions", "_edge_positions", "_meets", "_chains" if chains else "_certified",
+                      "_succeeds", "_spans", "run"]
+    assert all(float(line.split()[1]) > 0 for line in lines[2:-1])
+    paired, swept, failed = (float(x.split()[0]) for x in lines[-1].removeprefix("rows per batch: ").split(", "))
+    assert failed <= swept <= paired
