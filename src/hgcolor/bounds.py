@@ -1,24 +1,27 @@
 """Analytic bounds for greedy coloring, evaluated robustly in log space.
 
 Covers the two-color failure bound k(1-p)^n + k^2 p and its optimization,
-expected counts of short edges and conflicting r-chains at p = 2 ln(n)/n,
-exact per-structure probabilities, and the local-lemma feasibility search
-over dependency degree D. Quantities like r^n and D^r dwarf the float range
-at interesting n, so every product with such exponents is a sum of logs;
-weights x = 1 - e^(-a/D) and y = 1 - e^(-b/(r D^r)) are handled through
-(a, b) so that D log(1-x) = -a and r D^r log(1-y) = -b stay exact. For
-fixed s = a + b the least feasible a and b have closed forms, and the
-slack s - a - b they leave is concave in s, so the weights at a given D
-sit where its slope changes sign; Newton's method finds that point from a
-closed-form start. The bisection _max_feasible serves the largest D and
-the edge-count coefficients.
+the chance that a dangerous pair conflicts (one integral by two independent
+routes, Gauss-Legendre quadrature and a binomial tail, on numpy and math
+alone), expected counts of short edges and conflicting r-chains at
+p = 2 ln(n)/n, exact per-structure probabilities, and the local-lemma
+feasibility search over dependency degree D. Quantities like r^n and D^r
+dwarf the float range at interesting n, so every product with such
+exponents is a sum of logs; weights x = 1 - e^(-a/D) and
+y = 1 - e^(-b/(r D^r)) are handled through (a, b) so that D log(1-x) = -a
+and r D^r log(1-y) = -b stay exact. For fixed s = a + b the least feasible
+a and b have closed forms, and the slack s - a - b they leave is concave in
+s, so the weights at a given D sit where its slope changes sign; Newton's
+method finds that point from a closed-form start. The bisection
+_max_feasible serves the largest D and the edge-count coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, expm1, inf, isfinite, log, log1p, nextafter
+from math import exp, expm1, inf, isfinite, ldexp, log, log1p, nextafter
+from numbers import Integral
 
 from .errors import NumericRangeError
 
@@ -97,49 +100,49 @@ def max_k_2col(n: int) -> float:
     return _max_feasible(lambda k: min_two_color_bound(k, n) < 1.0)
 
 
-def pair_conflict_probability(n: int, lo: float, hi: float) -> float:
-    """∫ x^(n-1) (1-x)^(n-1) dx over [lo, hi] by adaptive quadrature.
+# Every window's integral is below B(n, n) < 4^(1-n), the integrand's peak. From n = 538 on
+# that is at most 2^-1074, the least subnormal, and B(n, n), near 4^(1-n) sqrt(pi/(4n)), is
+# below half of it, so the integral rounds to 0.0 on every window.
+PAIR_ZERO_N = 538
 
-    This is the probability that a fixed dangerous pair conflicts with
-    common-vertex birth time in [lo, hi], before the edge-count factor.
-    """
-    # imported here so that importing hgcolor does not load scipy
-    from scipy.integrate import quad
 
-    if n < 1 or not 0.0 <= lo <= hi <= 1.0:
+def _lower_half(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
+    """[lo, hi] as pieces of [0, 1/2] by the integrand's mirror symmetry about 1/2; none
+    where the integral is 0.0."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1 or not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"invalid arguments n={n}, lo={lo}, hi={hi}")
-    if lo == hi:
-        return 0.0
-    val, _err = quad(
-        lambda x: x ** (n - 1) * (1.0 - x) ** (n - 1),
-        lo,
-        hi,
-        epsabs=1e-300,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return val
+    pieces = [(lo, min(hi, 0.5)), (1.0 - hi, min(1.0 - lo, 0.5))]
+    return [(a, b) for a, b in pieces if a < b] if n < PAIR_ZERO_N else []
+
+
+def pair_conflict_probability(n: int, lo: float, hi: float) -> float:
+    """∫ x^(n-1) (1-x)^(n-1) dx over [lo, hi]: the probability that a fixed dangerous pair
+    conflicts with common-vertex birth time in [lo, hi], before the edge-count factor. The
+    n-point Gauss–Legendre rule is exact up to rounding for this polynomial of degree 2n - 2;
+    the integrand is scaled by 4^(n-1), so that only the result can be subnormal."""
+    # imported here: numpy.polynomial takes milliseconds to import
+    from numpy.polynomial.legendre import leggauss
+
+    total, pieces = 0.0, _lower_half(n, lo, hi)
+    t, w = leggauss(n) if pieces else ((), ())
+    for a, b in pieces:
+        x = a + (b - a) / 2 * (1.0 + t)
+        total += (b - a) / 2 * float(w @ (4.0 * x * (1.0 - x)) ** (n - 1))
+    return ldexp(total, 2 - 2 * n)
 
 
 def pair_conflict_probability_closed(n: int, lo: float, hi: float) -> float:
-    """Same integral through the regularized incomplete beta function.
+    """Same integral as B(n, n) (I_hi - I_lo), with I_x(n, n) = P(Bin(2n - 1, x) >= n). For
+    x <= 1/2 the tail's n terms times B(n, n) start at x^n (1-x)^(n-1) / n and fall by the
+    ratios (2n-1-j)/(j+1) x/(1-x); Horner's rule sums them in direct powers (exact at n = 1)."""
 
-    Uses the Beta(n, n) mirror symmetry to keep both evaluation points on
-    the lower half, avoiding cancellation of regularized values near 1.
-    """
-    # imported here so that importing hgcolor does not load scipy
-    from scipy.special import betainc, betaln
+    def tail(x: float) -> float:
+        r, h = x / (1.0 - x), 1.0
+        for j in range(2 * n - 2, n - 1, -1):
+            h = 1.0 + (2 * n - 1 - j) / (j + 1) * r * h
+        return x**n / n * h * (1.0 - x) ** (n - 1)
 
-    if n < 1 or not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError(f"invalid arguments n={n}, lo={lo}, hi={hi}")
-    if lo >= 0.5:
-        lo, hi = 1.0 - hi, 1.0 - lo
-    elif hi > 0.5:
-        return pair_conflict_probability_closed(
-            n, lo, 0.5
-        ) + pair_conflict_probability_closed(n, 0.5, hi)
-    scale = exp(betaln(n, n))
-    return scale * (betainc(n, n, hi) - betainc(n, n, lo))
+    return sum((tail(b) - tail(a) for a, b in _lower_half(n, lo, hi)), 0.0)
 
 
 def expected_short_edges(k: float, n: int, r: int, p: float) -> float:

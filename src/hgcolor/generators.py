@@ -9,10 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph
-
-# the most vertex slots (edges times uniformity n) a generator builds
-SLOT_BUDGET = 10_000_000
+from .hypergraph import SLOT_BUDGET, Hypergraph
 
 # lines {i, i+1, i+3} mod 7; every two lines meet in exactly one point
 _FANO_LINES = (

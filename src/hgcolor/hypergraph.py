@@ -17,7 +17,16 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import HypergraphFormatError, InvalidHypergraphError, UncoloredVertexError
+from .errors import (
+    BudgetExceededError,
+    HypergraphFormatError,
+    InvalidHypergraphError,
+    UncoloredVertexError,
+)
+
+# the most vertex slots (edges times uniformity n, or vertices) a generator
+# builds or a file may declare
+SLOT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -250,7 +259,9 @@ def read_hypergraph(src: IO[str] | str) -> Hypergraph:
 
     A path is read as UTF-8, whatever the locale; bytes that are not UTF-8
     are a format error on the line that holds them, and so is any token
-    other than an ASCII decimal integer -?[0-9]+.
+    other than an ASCII decimal integer -?[0-9]+. A header declaring more
+    than SLOT_BUDGET vertices raises BudgetExceededError before anything is
+    built for them.
     """
     if isinstance(src, str):
         with open(src, "rb") as fh:
@@ -274,6 +285,11 @@ def read_hypergraph(src: IO[str] | str) -> Hypergraph:
             if len(fields) != 2:
                 raise HypergraphFormatError(
                     line_no, "header must be '<vertex_count> <edge_count>'"
+                )
+            if fields[0] > SLOT_BUDGET:
+                raise BudgetExceededError(
+                    f"line {line_no}: header declares {fields[0]} vertices, "
+                    f"exceeding budget {SLOT_BUDGET} vertex slots"
                 )
             header = (fields[0], fields[1])
             continue

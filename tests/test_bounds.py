@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from math import exp, factorial, log, sqrt
 
 import numpy as np
@@ -25,6 +27,7 @@ from hgcolor import (
 from hgcolor import bounds
 from hgcolor.bounds import (
     LLL_TOL,
+    PAIR_ZERO_N,
     _lll_weights,
     _max_feasible,
     log1mexp,
@@ -170,6 +173,21 @@ class TestMaxK2col:
         assert 1.0 <= ratio <= 1.5
         assert ratio == pytest.approx(1.23851, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "n",
+        [3, 4, 5, 7, 10, 20, 50, 100, 500, 10**3, 10**4, 10**5, 10**6]
+        + [10**8, 10**10, 10**12, 10**15, 10**18, 10**20],
+    )
+    def test_certified_in_exact_arithmetic(self, n):
+        # the bound at its exact minimizer p* = 1 - (k/n)^(1/(n-1)), in 60 digits
+        import mpmath
+
+        with mpmath.workdps(60):
+            k = mpmath.mpf(max_k_2col(n))
+            assert k < n
+            p = 1 - (k / n) ** (mpmath.mpf(1) / (n - 1))
+            assert k * (1 - p) ** n + k * k * p < 1
+
 
 class TestMaxFeasible:
     def test_search_ends_between_adjacent_floats(self):
@@ -253,6 +271,77 @@ class TestPairConflictProbability:
     def test_middle_interval_bounded_by_p(self, n, p):
         val = pair_conflict_probability(n, (1 - p) / 2, (1 + p) / 2)
         assert val <= p + 1e-12
+
+
+def _pair_integral_exact(n: int, lo: float, hi: float) -> Fraction:
+    """∫ x^(n-1) (1-x)^(n-1) dx over [lo, hi] in exact rationals (binary floats
+    are exact rationals), from the antiderivative
+    sum_k C(n-1, k) (-1)^k x^(n+k) / (n+k). At x = m / 2^e the sum is taken
+    over the denominator lcm(n..2n-1) 2^(e(2n-1)) by Horner's rule in integers."""
+    d = math.lcm(*range(n, 2 * n))
+
+    def antiderivative(x: float) -> Fraction:
+        m, q = float(x).as_integer_ratio()
+        e = q.bit_length() - 1
+        acc = 0
+        for k in range(n - 1, -1, -1):
+            acc = acc * m + ((math.comb(n - 1, k) * (-1) ** k * (d // (n + k))) << (e * (n - 1 - k)))
+        return Fraction(acc * m**n, d << (e * (2 * n - 1)))
+
+    return antiderivative(hi) - antiderivative(lo)
+
+
+def _pair_windows():
+    """150 symmetric windows [(1-p)/2, (1+p)/2] with n <= 300 and 150
+    arbitrary windows with n < 200."""
+    rng = random.Random(5)
+    windows = []
+    for _ in range(150):
+        n, p = rng.randint(1, 300), rng.uniform(0.001, 0.999)
+        windows.append((n, (1 - p) / 2, (1 + p) / 2))
+    for _ in range(150):
+        lo, hi = sorted((rng.random(), rng.random()))
+        windows.append((rng.randint(1, 199), lo, hi))
+    return windows
+
+
+PAIR_ROUTES = [pair_conflict_probability, pair_conflict_probability_closed]
+
+
+class TestPairConflictExact:
+    def test_routes_match_the_exact_integral(self):
+        worst = dict.fromkeys(PAIR_ROUTES, 0.0)
+        for n, lo, hi in _pair_windows():
+            want = _pair_integral_exact(n, lo, hi)
+            for route in PAIR_ROUTES:
+                rel = float(abs(Fraction(route(n, lo, hi)) - want) / want)
+                worst[route] = max(worst[route], rel)
+        assert max(worst.values()) <= 1e-11, worst
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 0.45)])
+    def test_subnormal_values_match_in_absolute_terms(self, lo, hi):
+        # from n = 510 on the integral is subnormal, where a relative error
+        # means nothing: allow 10^-11 of the least normal number, 2^-1022
+        tol = Fraction(2) ** -1022 * Fraction(1e-11)
+        for n in range(510, PAIR_ZERO_N):
+            want = _pair_integral_exact(n, lo, hi)
+            for route in PAIR_ROUTES:
+                assert abs(Fraction(route(n, lo, hi)) - want) <= tol, (route.__name__, n)
+
+    @pytest.mark.parametrize("route", PAIR_ROUTES)
+    def test_zero_from_n_538(self, route):
+        # the whole interval's exact integral B(538, 538) rounds to 0.0 too
+        assert PAIR_ZERO_N == 538
+        assert float(_pair_integral_exact(PAIR_ZERO_N, 0.0, 1.0)) == 0.0
+        for n in (538, 600, 10**4):
+            assert route(n, 0.0, 1.0) == 0.0
+            assert route(n, 0.25, 0.5) == 0.0
+
+    @pytest.mark.parametrize("route", PAIR_ROUTES)
+    @pytest.mark.parametrize("n", [2.5, 0, True, -1, 3.0])
+    def test_n_must_be_a_positive_integer(self, route, n):
+        with pytest.raises(ValueError, match="invalid arguments"):
+            route(n, 0.25, 0.75)
 
 
 class TestExpectedShortEdges:

@@ -186,6 +186,18 @@ class TestOracle:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["color", "mc", "oracle", "experiment"])
+    def test_header_past_the_slot_budget_exits_3(self, tmp_path, capsys, command):
+        # an 11-byte file may not make a command build ten million vertices
+        path = tmp_path / "huge.hg"
+        path.write_text("10000001 0\n")
+        out = ["--out", str(tmp_path / "out")] if command == "experiment" else []
+        code, stdout, err = run(capsys, command, "--in", str(path), *out)
+        assert (code, stdout) == (EXIT_BUDGET, "")
+        assert err == (
+            "error: line 1: header declares 10000001 vertices, exceeding budget 10000000 vertex slots\n"
+        )
+
     @pytest.mark.parametrize("command", ["color", "oracle"])
     def test_huge_color_count_ends_in_an_exit_code(self, tmp_path, capsys, command):
         # the greedy edge state cuts the colors at the largest degree + 1,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgcolor import (
+    BudgetExceededError,
     Coloring,
     Hypergraph,
     HypergraphFormatError,
@@ -18,6 +19,7 @@ from hgcolor import (
     validate,
     write_hypergraph,
 )
+from hgcolor.hypergraph import SLOT_BUDGET
 
 from conftest import hypergraphs
 
@@ -188,6 +190,16 @@ class TestTextFormat:
     def test_edge_count_mismatch(self):
         with pytest.raises(HypergraphFormatError):
             loads_hypergraph("3 2\n0 1 2\n")
+
+    @pytest.mark.parametrize("count", [SLOT_BUDGET + 1, 10**20 - 1])
+    def test_header_past_the_slot_budget_is_refused(self, count):
+        # refused at the header, before the edge lines are even parsed
+        want = f"^line 2: header declares {count} vertices, exceeding budget 10000000 vertex slots$"
+        with pytest.raises(BudgetExceededError, match=want):
+            loads_hypergraph(f"# huge\n{count} 1\n0 x\n")
+
+    def test_header_at_the_slot_budget_loads(self):
+        assert loads_hypergraph(f"{SLOT_BUDGET} 0\n") == Hypergraph(SLOT_BUDGET, [])
 
     def test_missing_header(self):
         with pytest.raises(HypergraphFormatError):
