@@ -171,10 +171,7 @@ def _cmd_bounds(args) -> int:
     n_values = _parse_int_list(args.n)
     r_values = _parse_int_list(args.r)
     rows = bound_table(n_values, r_values)
-    if args.format == "json":
-        _emit(json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        _emit(bound_table_to_csv(rows), args.out)
+    # draw the plot before writing anything: with nothing to plot, neither file is written
     if args.plot:
         series: dict[str, list[tuple[float, float]]] = {}
         for row in rows:
@@ -182,8 +179,13 @@ def _cmd_bounds(args) -> int:
                 series.setdefault(f"max_k_rcol r={row.r}", []).append((row.n, row.max_k_rcol))
             if row.max_k_2col is not None:
                 series.setdefault("max_k_2col", []).append((row.n, row.max_k_2col))
-        with open(args.plot, "w", newline="\n") as fh:
-            fh.write(svg_plot(series, "certified edge-count coefficients"))
+        svg = svg_plot(series, "certified edge-count coefficients")
+    if args.format == "json":
+        _emit(json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n", args.out)
+    else:
+        _emit(bound_table_to_csv(rows), args.out)
+    if args.plot:
+        _emit(svg, args.plot)
     return EXIT_OK
 
 

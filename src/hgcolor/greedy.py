@@ -6,7 +6,8 @@ moment (an edge can only become monochromatic when its last vertex is
 colored). When every color is blocked the vertex takes color r and is
 recorded as forced. Variants: an explicit-permutation driver, a two-phase
 precolor-then-greedy scheme for two colors, and a random equitable-partition
-baseline.
+coloring, from a seed or a Generator. Its labels come from one private draw,
+``_equitable_labels``, which the Monte Carlo equitable baseline shares.
 
 That rule lives in the private edge state ``_EdgeState``: every scalar
 sweep here decides blocked colors and updates edges through it. The exact
@@ -213,15 +214,19 @@ def two_phase_color(
     return GreedyTrace(Coloring(colors, r), tuple(forced), tuple(precolored + middle))
 
 
-def equitable_partition_color(h: Hypergraph, rng_seed, r: int) -> Coloring:
-    """Uniformly random coloring with class sizes differing by at most one."""
+def _equitable_labels(gen: np.random.Generator, r: int, v_count: int) -> np.ndarray:
+    """Uniform equitable labels 1..r of v_count vertices: V // r of each color, one
+    more of V mod r colors drawn by `choice`, then arranged by `permutation`."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    rng = np.random.default_rng(rng_seed)
-    q, s = divmod(h.vertex_count, r)
-    labels = [j for j in range(1, r + 1) for _ in range(q)]
+    q, s = divmod(v_count, r)
+    base = np.repeat(np.arange(1, min(r, v_count) + 1), q)  # q = 0 past r = V: no r-long range
     if s:
         # which colors get the extra vertex is itself uniform
-        labels.extend(int(c) + 1 for c in rng.choice(r, size=s, replace=False))
-    labels = [labels[i] for i in rng.permutation(h.vertex_count)]
-    return Coloring(labels, r)
+        base = np.concatenate((base, gen.choice(r, size=s, replace=False) + 1))
+    return base[gen.permutation(v_count)]
+
+
+def equitable_partition_color(h: Hypergraph, rng_seed, r: int) -> Coloring:
+    """Uniformly random coloring, class sizes within one, from a seed or a Generator."""
+    return Coloring(_equitable_labels(np.random.default_rng(rng_seed), r, h.vertex_count).tolist(), r)

@@ -272,7 +272,7 @@ def read_hypergraph(src: IO[str] | str) -> Hypergraph:
             bad = f"byte 0x{data[exc.start]:02x} is not UTF-8 text"
             raise HypergraphFormatError(data.count(b"\n", 0, exc.start) + 1, bad) from None
         return read_hypergraph(io.StringIO(text, newline=None))
-    header: tuple[int, int] | None = None
+    header: tuple[int, int, int] | None = None  # vertices, edges, line
     edges: list[list[int]] = []
     for line_no, raw in enumerate(src, start=1):
         line = raw.strip()
@@ -291,15 +291,15 @@ def read_hypergraph(src: IO[str] | str) -> Hypergraph:
                     f"line {line_no}: header declares {fields[0]} vertices, "
                     f"exceeding budget {SLOT_BUDGET} vertex slots"
                 )
-            header = (fields[0], fields[1])
+            header = (fields[0], fields[1], line_no)
             continue
         edges.append(fields)
     if header is None:
         raise HypergraphFormatError(1, "missing header line")
-    vertex_count, edge_count = header
+    vertex_count, edge_count, header_no = header
     if len(edges) != edge_count:
         raise HypergraphFormatError(
-            1, f"header promises {edge_count} edges, found {len(edges)}"
+            header_no, f"header promises {edge_count} edges, found {len(edges)}"
         )
     return Hypergraph(vertex_count, edges)
 

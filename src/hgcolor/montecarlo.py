@@ -12,7 +12,9 @@ hash over the 32-bit words of seed and i for a chunk of trials at once, in
 uint32 numpy arithmetic, derives each trial's PCG64 state the way PCG64
 seeds itself, and loads it, with no buffered 32-bit draw, into one reused
 Generator. The tests compare its streams with default_rng's (numpy 2.4.6
-when written); the equitable baseline draws through it too.
+when written). The equitable baseline draws through it too: each trial
+fills one row of a (trials x vertices) label array with the greedy module's
+label draw, and one gather over the edge matrix tests a whole batch.
 
 Trials run in batches: the rows of one (trials x vertices) array of birth
 times, row i still drawn from (master seed, i). :meth:`_TrialEngine.run`
@@ -65,13 +67,12 @@ import time
 from dataclasses import dataclass
 from enum import IntEnum
 from math import ceil, sqrt
-from typing import Sequence
 
 import numpy as np
 
 from .bounds import reference_p
 from .conflicts import IntervalPartition
-from .greedy import _usable_colors, equitable_partition_color
+from .greedy import _equitable_labels, _usable_colors
 from .hypergraph import Hypergraph, uniformity
 
 # the standard normal quantiles at 0.975 and 0.995 (scipy's ndtri, to the bit)
@@ -632,30 +633,22 @@ def monte_carlo(
     )
 
 
-def baseline_equitable_success(
-    h: Hypergraph, r: int, trials: int, seed: int
-) -> EstimateReport:
+def baseline_equitable_success(h: Hypergraph, r: int, trials: int, seed: int) -> EstimateReport:
     """Success proportion of the random equitable-partition baseline."""
     h.require_valid()
     if trials < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    succ = sum(
-        not _has_monochromatic_edge(h, equitable_partition_color(h, gen, r).colors)
-        for gen in _trial_generators(seed, 0, trials)
-    )
+    edges = h.edge_matrix
+    batch = max(1, _BATCH_ELEMENTS // max(edges.size, h.vertex_count, 1))
+    gens = _trial_generators(seed, 0, trials)
+    succ = 0
+    for lo in range(0, trials, batch):
+        block = np.empty((min(batch, trials - lo), h.vertex_count), dtype=np.int64)
+        for row, gen in zip(block, gens):
+            row[:] = _equitable_labels(gen, r, h.vertex_count)
+        # rows pad with the edge's first vertex: a row all equal is a monochromatic edge
+        cells = block[:, edges]
+        succ += len(block) - int((cells == cells[:, :, :1]).all(axis=2).any(axis=1).sum())
     return _estimate(succ, trials)
-
-
-def _has_monochromatic_edge(h: Hypergraph, colors: Sequence[int]) -> bool:
-    """Whether some edge has one color; is_proper's test, stopping at the
-    first such edge and, within an edge, at the first other color."""
-    for e in h.edges:
-        first = colors[e[0]]
-        for v in e:
-            if colors[v] != first:
-                break
-        else:
-            return True
-    return False

@@ -406,6 +406,8 @@ class TestBounds:
             (["--n", "50:500:50:7"], "start:stop or start:stop:step"),
             (["--n", "50:500:0"], "step must not be zero"),
             (["--n", "50", "--r", "2:3:0"], "step must not be zero"),
+            # the only cell is an error cell, so the plot has no point
+            (["--n", "2", "--r", "3"], "nothing to plot"),
         ],
     )
     def test_bad_range_rejected_before_writing(self, tmp_path, capsys, flags, message):

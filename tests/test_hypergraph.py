@@ -171,6 +171,11 @@ class TestTextFormat:
             loads_hypergraph("3 1\n0 x 2\n")
         assert exc.value.line_no == 2
 
+    def test_edge_count_mismatch_names_the_header_line(self):
+        with pytest.raises(HypergraphFormatError, match="header promises 2 edges, found 1") as exc:
+            loads_hypergraph("# c\n# d\n3 2\n0 1\n")
+        assert exc.value.line_no == 3
+
     @pytest.mark.parametrize(
         "text, line_no",
         [("\u0665 1\n0\n", 1), ("3 1\n1_0 2\n", 2), ("3 1\n+1 2\n", 2), ("3 1\n0 1\u00a02\n", 2)],

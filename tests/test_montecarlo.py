@@ -231,23 +231,28 @@ class TestEquitableBaseline:
         with pytest.raises(ValueError, match="nonnegative"):
             baseline_equitable_success(fano, 2, 10, seed=-1)
 
-    def test_monochromatic_check_agrees_with_is_proper(self):
-        """The baseline's early-stopping test answers as is_proper does."""
+    def test_batched_count_matches_is_proper(self, monkeypatch):
+        """Trial i of the baseline succeeds exactly when is_proper accepts
+        equitable_partition_color's coloring from default_rng([seed, i]):
+        over mixed edge sizes (padded rows), singleton edges, no edges,
+        V mod r != 0 and r > V, with batches split small."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from hgcolor import Coloring, is_proper
-        from hgcolor.montecarlo import _has_monochromatic_edge
+        from hgcolor import equitable_partition_color, is_proper
 
         from conftest import hypergraphs
 
-        @given(hypergraphs(), st.data())
+        @given(hypergraphs(), st.integers(1, 4), st.integers(1, 12),
+               st.integers(0, 2**33), st.integers(1, 64))
         @settings(max_examples=200)
-        def check(h, data):
-            colors = data.draw(st.lists(
-                st.integers(1, 3), min_size=h.vertex_count, max_size=h.vertex_count
-            ))
-            assert _has_monochromatic_edge(h, colors) == (not is_proper(h, Coloring(colors, 3))[0])
+        def check(h, r, trials, seed, elements):
+            monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", elements)
+            expected = sum(
+                is_proper(h, equitable_partition_color(h, np.random.default_rng([seed, i]), r))[0]
+                for i in range(trials)
+            )
+            assert baseline_equitable_success(h, r, trials, seed).successes == expected
 
         check()
 
