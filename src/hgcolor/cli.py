@@ -76,6 +76,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    # refuse the flags before the instance is read
+    if args.p is not None and not args.two_phase:
+        raise ValueError("--p is the two-phase middle width; it needs --two-phase")
+    if args.seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     h = _load(args.infile)
     t = sample_birth_times(h.vertex_count, args.seed)
     if args.two_phase:

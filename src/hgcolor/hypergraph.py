@@ -82,6 +82,19 @@ class Hypergraph:
         return out
 
     @cached_property
+    def _rests(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each vertex v of a valid hypergraph, the distinct bitmasks
+        e - {v} over the edges e of v, in edge order, each paired with one
+        vertex of it (the edge's first, or its last when that is v): the
+        exact oracles' blocking table, which does not depend on r."""
+        rests: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
+        for e in self.edges:
+            mask = sum(1 << u for u in e)
+            for v in e:
+                rests[v].setdefault(mask ^ (1 << v), e[0] if e[0] != v else e[-1])
+        return tuple(tuple(rest.items()) for rest in rests)
+
+    @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """What validate() reports, computed once per instance."""
         return tuple(validate(self))

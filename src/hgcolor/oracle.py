@@ -8,8 +8,11 @@ All three oracles search partial colorings held as color-class bitmasks
 uncolored vertices. A color c is blocked for an uncolored vertex v exactly
 when some edge e of v has e - {v} colored and inside class c; an edge of
 v alone blocks every color. This is the greedy module's rule, so the
-searches block exactly the colors the greedy driver does, and placing or
-undoing a vertex is O(1).
+searches block exactly the colors the greedy driver does. The masks e - {v}
+are tabled once per hypergraph (cached on it, since they do not depend on
+r), and the census and the search each test the rule, and place and undo a
+vertex on the class masks, inline in their recursion, which passes the
+uncolored mask down.
 
 Colorability and counting are one backtracking search. Colors no vertex
 has used yet are interchangeable, so each vertex tries at most one color
@@ -36,7 +39,7 @@ from math import factorial
 from operator import mul
 
 from .errors import BudgetExceededError
-from .greedy import _first_free, _usable_colors
+from .greedy import _usable_colors
 from .hypergraph import Coloring, Hypergraph
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -83,11 +86,12 @@ def _budgeted(name: str, h: Hypergraph, r: int, budget: int) -> Iterator[str]:
 
 class _ClassMasks:
     """A partial coloring as color-class bitmasks: `colors[v]` (0 for
-    uncolored), `classes[j]` with bit v set when v has color j, and the
-    `uncolored` mask. It tests the module's blocking rule on `rests[v]`, the
-    distinct masks e - {v} over v's edges e, each with one of its vertices:
-    once the mask is colored, that vertex's class is the only one that can
-    hold it.
+    uncolored) and `classes[j]` with bit v set when v has color j; the
+    searches pass the mask of uncolored vertices down their recursion and
+    place and undo a vertex on both inline. The blocking rule reads
+    `rests[v]`, the hypergraph's cached table of the distinct masks e - {v}
+    over v's edges e, each with one of its vertices: once the mask is
+    colored, that vertex's class is the only one that can hold it.
 
     Each blocked color is another vertex's, so neither the greedy rule nor
     a first-use search takes a color past min(r, V), and no class past it
@@ -95,47 +99,15 @@ class _ClassMasks:
     edge state: only an edge of v alone blocks every color, as the mask -1.
     """
 
-    __slots__ = ("colors", "classes", "uncolored", "rests", "all_blocked")
+    __slots__ = ("colors", "classes", "rests", "all_blocked")
 
     def __init__(self, h: Hypergraph, r: int):
         v_count = h.vertex_count
         self.colors = [0] * v_count
         self.classes = [0] * (min(r, v_count) + 1)
-        self.uncolored = (1 << v_count) - 1
-        rests: list[dict[int, int]] = [{} for _ in range(v_count)]
-        for e in h.edges:
-            mask = sum(1 << u for u in e)
-            for v in e:
-                rests[v].setdefault(mask ^ (1 << v), e[0] if e[0] != v else e[-1])
-        self.rests = [list(rest.items()) for rest in rests]
+        self.rests = h._rests
         cut = _usable_colors(h, r) < r
         self.all_blocked = -1 if cut else ((1 << r) - 1) << 1
-
-    def blocked(self, v: int) -> int:
-        """Bitmask of the colors that would complete a monochromatic edge."""
-        uncolored, colors, classes = self.uncolored, self.colors, self.classes
-        mask = 0
-        for rest, u in self.rests[v]:
-            if not rest & uncolored:
-                if not rest:
-                    return self.all_blocked
-                c = colors[u]
-                if classes[c] & rest == rest:
-                    mask |= 1 << c
-        return mask
-
-    def place(self, v: int, j: int) -> None:
-        """Color the uncolored vertex v with j."""
-        self.colors[v] = j
-        self.classes[j] |= 1 << v
-        self.uncolored ^= 1 << v
-
-    def unplace(self, v: int) -> None:
-        """Uncolor v."""
-        bit = 1 << v
-        self.classes[self.colors[v]] ^= bit
-        self.colors[v] = 0
-        self.uncolored |= bit
 
 
 def _proper_colorings(
@@ -165,17 +137,30 @@ def _proper_colorings(
         if v_count == 0:
             return 1, []
         state = _ClassMasks(h, r)
-        colors = state.colors
+        all_blocked, colors, classes, rests = (
+            state.all_blocked, state.colors, state.classes, state.rests
+        )
         last = v_count - 1
         # falling[c] = r(r-1)...(r-c+1) colorings per pattern of c colors
         falling = list(accumulate(range(r, r - min(r, v_count), -1), mul, initial=1))
         first = None
         found = nodes = 0
 
-        def search(v: int, used: int) -> bool:
-            """Extend colors[:v], which use 1..used; True at `limit`."""
+        def search(v: int, used: int, uncolored: int) -> bool:
+            """Extend colors[:v], which use 1..used, with vertices v.. in
+            `uncolored`; True at `limit`."""
             nonlocal first, found, nodes
-            blocked = state.blocked(v)
+            # the blocking rule inline, as in the census
+            blocked = 0
+            for rest, u in rests[v]:
+                if not rest & uncolored:
+                    if not rest:
+                        blocked = all_blocked
+                        break
+                    c = colors[u]
+                    if classes[c] & rest == rest:
+                        blocked |= 1 << c
+            bit = 1 << v
             for j in range(1, min(r, used + 1) + 1):
                 nodes += 1
                 if nodes > budget:
@@ -183,10 +168,12 @@ def _proper_colorings(
                 if blocked >> j & 1:
                     continue
                 if v < last:
-                    state.place(v, j)
-                    if search(v + 1, max(used, j)):
+                    colors[v] = j
+                    classes[j] |= bit
+                    if search(v + 1, max(used, j), uncolored ^ bit):
                         return True
-                    state.unplace(v)
+                    classes[j] ^= bit
+                    colors[v] = 0
                     continue
                 found += falling[max(used, j)]
                 if first is None:
@@ -196,7 +183,7 @@ def _proper_colorings(
                     return True
             return False
 
-        search(0, 0)
+        search(0, 0, (1 << v_count) - 1)
         return found, first
 
 
@@ -248,19 +235,18 @@ def greedy_success_exact(
         memo: dict[int, int] = {}
         tried = 0
 
-        def completions(key: int, left: int) -> int:
+        def completions(key: int, left: int, uncolored: int) -> int:
             """Successful completions of a partial coloring that is not in
-            the memo and has `left` >= 1 uncolored vertices."""
+            the memo and has `left` >= 1 uncolored vertices, `uncolored`."""
             nonlocal tried
             tried += left
             if tried > budget:
                 raise BudgetExceededError(over)
-            uncolored = state.uncolored
             proper = 0
             for v in range(v_count):
                 if colors[v]:
                     continue
-                # state.blocked(v) inline: this loop is the census's hot path
+                # the blocking rule inline: this loop is the census's hot path
                 blocked = 0
                 for rest, u in rests[v]:
                     if not rest & uncolored:
@@ -275,16 +261,20 @@ def greedy_success_exact(
                 if left == 1:
                     proper += 1
                     continue
-                j = _first_free(blocked)
+                # the least free color, as greedy._first_free
+                j = ((blocked + 2) & ~blocked).bit_length() - 1
                 child = key + j * weight[v]
                 known = memo.get(child)
                 if known is None:
-                    state.place(v, j)
-                    known = completions(child, left - 1)
-                    state.unplace(v)
+                    bit = 1 << v
+                    colors[v] = j
+                    classes[j] |= bit
+                    known = completions(child, left - 1, uncolored ^ bit)
+                    classes[j] ^= bit
+                    colors[v] = 0
                 proper += known
             memo[key] = proper
             return proper
 
-        proper = completions(0, v_count) if v_count else 1
+        proper = completions(0, v_count, (1 << v_count) - 1) if v_count else 1
     return OrderingStatistics(factorial(v_count), proper)

@@ -70,6 +70,27 @@ class TestColor:
         assert payload["proper"] is True
         assert len(payload["colors"]) == 7
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "0.3"], "error: --p is the two-phase middle width; it needs --two-phase\n"),
+            (["--seed", "-1"], "error: seed must be a nonnegative integer\n"),
+        ],
+        ids=["p-without-two-phase", "negative-seed"],
+    )
+    def test_bad_flags_rejected(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        code, out, err = run(capsys, "color", "--in", str(path), "--r", "2", *flags)
+        assert (code, out, err) == (EXIT_INVARIANT, "", message)
+
+    def test_p_with_two_phase(self, tmp_path, capsys):
+        path = tmp_path / "f.hg"
+        run(capsys, "gen", "fano", "--out", str(path))
+        code, out, _ = run(capsys, "color", "--in", str(path), "--r", "2", "--two-phase", "--p", "0.3")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["colors"]) == 7
+
 
 class TestMc:
     def test_json_report(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, perm
@@ -21,8 +22,6 @@ from hgcolor import (
     is_proper,
     is_r_colorable,
 )
-from hgcolor.greedy import _EdgeState
-from hgcolor.oracle import _ClassMasks
 from hgcolor.suite import fixed_suite
 
 from conftest import hypergraphs, naive_partition_count
@@ -129,6 +128,13 @@ class TestSearchBudget:
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             oracle(Hypergraph(10**8, []), 3)
 
+    @pytest.mark.parametrize("oracle, name", ORACLES)
+    @pytest.mark.parametrize("h", [Hypergraph(40, [(0, 1), (38, 39)]), Hypergraph(10**8, [])])
+    def test_refusal_leaves_the_table_unbuilt(self, oracle, name, h):
+        with pytest.raises(BudgetExceededError, match=f"^{name} on {h.vertex_count} vertices"):
+            oracle(h, 3)
+        assert "_rests" not in vars(h)
+
 
 class TestOrderingCensus:
     def test_single_edge_always_succeeds(self):
@@ -214,34 +220,6 @@ def test_count_invariant_under_relabeling(h, rnd):
     assert count_proper_colorings(h, 2) == count_proper_colorings(h.relabel(perm), 2)
 
 
-@given(hypergraphs(max_vertices=8), st.sampled_from([2, 3, 4, 10**20]), st.data())
-@settings(max_examples=100, deadline=None)
-def test_class_masks_block_as_the_edge_state(h, r, data):
-    # the strategy draws singleton edges; add duplicates of drawn edges, and
-    # r = 10^20 (and r = 4 at low degree) is cut at the largest degree + 1
-    if h.edges:
-        extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
-        h = Hypergraph(h.vertex_count, h.edges + tuple(extra))
-    masks = _ClassMasks(h, r)
-    assert masks.all_blocked == _EdgeState(h, r).all_blocked
-    # place random vertices with random colors and undo the latest, as the
-    # searches do; the edge state replays the placements that stand
-    placed = []
-    for _ in range(3 * h.vertex_count):
-        edges = _EdgeState(h, r)
-        for v, j in placed:
-            edges.place(v, j)
-        uncolored = [u for u in range(h.vertex_count) if not masks.colors[u]]
-        assert [masks.blocked(u) for u in uncolored] == [edges.blocked(u) for u in uncolored]
-        if placed and (not uncolored or data.draw(st.booleans())):
-            masks.unplace(placed.pop()[0])
-        else:
-            v = data.draw(st.sampled_from(uncolored))
-            j = data.draw(st.integers(1, min(r, h.vertex_count)))
-            masks.place(v, j)
-            placed.append((v, j))
-
-
 # Naive references for the three oracles. They share no code with the
 # library's edge state: colors are a dict, edges are sets, and properness is
 # judged on the finished coloring by is_proper.
@@ -319,6 +297,45 @@ def test_small_cases_match_naive_references(h, r):
     orders = list(permutations(range(h.vertex_count)))
     assert greedy_success_exact(h, r) == OrderingStatistics(
         len(orders), sum(naive_greedy_is_proper(h, o, r) for o in orders)
+    )
+
+
+def naive_greedy_census(h, r):
+    """Proper orderings of the naive greedy rule, each partial coloring
+    stepped once: the next step reads only the partial coloring, so the
+    orderings that reach one are counted together, and each finished
+    coloring is judged by is_proper. Past r = V + 1 the first V + 1 colors
+    decide the step, since an edge of two or more vertices blocks one color,
+    that of a colored vertex, and a singleton edge blocks them all."""
+    level = Counter({(): 1})  # sorted (vertex, color) pairs -> orderings
+    for _ in range(h.vertex_count):
+        reached = Counter()
+        for partial, ways in level.items():
+            colors = dict(partial)
+            for v in set(range(h.vertex_count)) - colors.keys():
+                free = naive_free_colors(h, colors, v, min(r, h.vertex_count + 1))
+                reached[tuple(sorted({**colors, v: free[0] if free else r}.items()))] += ways
+        level = reached
+    return sum(
+        ways for partial, ways in level.items()
+        if is_proper(h, Coloring([c for _, c in partial], r))[0]
+    )
+
+
+@given(hypergraphs(max_vertices=8), st.sampled_from([2, 3, 4, 10**20]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_oracles_match_naive_references_with_duplicate_edges(h, r, data):
+    # the strategy draws singleton edges; add duplicates of drawn edges, and
+    # r = 10^20 (and r = 4 at low degree) is cut at the largest degree + 1
+    if h.edges:
+        extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
+        h = Hypergraph(h.vertex_count, h.edges + tuple(extra))
+    found, first, _ = reference_search(h, r, limit=1)
+    ok, witness = is_r_colorable(h, r)
+    assert (ok, list(witness.colors) if ok else None) == (found > 0, first)
+    assert count_proper_colorings(h, r) == naive_partition_count(h, r)
+    assert greedy_success_exact(h, r) == OrderingStatistics(
+        factorial(h.vertex_count), naive_greedy_census(h, r)
     )
 
 
@@ -436,6 +453,75 @@ def test_small_census_budget_is_the_reference_count(h, r):
 @settings(max_examples=60, deadline=None)
 def test_census_budget_is_the_reference_count(h, r):
     check_census_budget_is_the_reference_count(h, r)
+
+
+def fresh_rests(h):
+    """The blocking table's masks built from scratch on vertex sets: for
+    each vertex v, the distinct e - {v} over the edges e of v, in edge order."""
+    table = []
+    for v in range(h.vertex_count):
+        rests = {}
+        for e in h.edges:
+            if v in e:
+                rests.setdefault(frozenset(e) - {v})
+        table.append(tuple(sum(1 << u for u in rest) for rest in rests))
+    return tuple(table)
+
+
+@given(hypergraphs(max_vertices=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_table_is_a_fresh_build(h, data):
+    # the strategy draws singleton edges; add duplicates of drawn edges
+    if h.edges:
+        extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
+        h = Hypergraph(h.vertex_count, h.edges + tuple(extra))
+    assert "_rests" not in vars(h)
+    table = h._rests
+    assert table is h._rests
+    assert tuple(tuple(rest for rest, _ in row) for row in table) == fresh_rests(h)
+    # each representative is a vertex of its nonempty mask: its class is
+    # the only one that can hold the mask
+    assert all(rest >> u & 1 for row in table for rest, u in row if rest)
+
+
+def answers_at_the_thresholds(h, r, names):
+    """Each named oracle's answer at budget = the reference's tried
+    assignments, called in the order named, each after the same call one
+    below it has raised."""
+    found, first, nodes = reference_search(h, r, 1)
+    calls = {
+        "colorable": (lambda b: is_r_colorable(h, r, b), nodes),
+        "count": (lambda b: count_proper_colorings(h, r, b), reference_search(h, r)[2]),
+        "census": (lambda b: greedy_success_exact(h, r, b), reference_census_tried(h, r)),
+    }
+    answers = {}
+    for name in names:
+        call, tried = calls[name]
+        if tried:
+            with pytest.raises(BudgetExceededError, match="exceeded budget"):
+                call(tried - 1)
+        answers[name] = call(tried)
+    ok, witness = answers["colorable"]
+    assert (ok, list(witness.colors) if ok else None) == (found > 0, first)
+    return answers
+
+
+@given(hypergraphs(max_vertices=6, max_edges=6), st.integers(2, 4))
+@settings(max_examples=30, deadline=None)
+def test_answers_do_not_depend_on_a_filled_table(h, r):
+    def fresh():
+        copy = Hypergraph(h.vertex_count, h.edges)
+        assert "_rests" not in vars(copy)
+        return copy
+
+    # the first call of each order builds the table; the later ones read it
+    orders = list(permutations(["colorable", "count", "census"]))
+    expected = answers_at_the_thresholds(fresh(), r, orders[0])
+    for order in orders[1:]:
+        assert answers_at_the_thresholds(fresh(), r, order) == expected
+    filled = fresh()
+    filled._rests
+    assert answers_at_the_thresholds(filled, r, orders[0]) == expected
 
 
 class TestOneColor:
