@@ -20,11 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import exp, expm1, inf, isfinite, ldexp, log, log1p, nextafter
 from numbers import Integral
-
-import numpy as np
 
 from .errors import NumericRangeError
 
@@ -118,26 +115,16 @@ def _lower_half(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
     return [(a, b) for a, b in pieces if a < b] if n < PAIR_ZERO_N else []
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss–Legendre nodes and weights, read-only. Built once per n: the
-    eigenproblem is nearly all of a pair_conflict_probability call, and only n below
-    PAIR_ZERO_N builds one, so the cache stays bounded."""
-    # imported here: numpy.polynomial takes milliseconds to import
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(n)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
 def pair_conflict_probability(n: int, lo: float, hi: float) -> float:
     """∫ x^(n-1) (1-x)^(n-1) dx over [lo, hi]: the probability that a fixed dangerous pair
     conflicts with common-vertex birth time in [lo, hi], before the edge-count factor. The
     n-point Gauss–Legendre rule is exact up to rounding for this polynomial of degree 2n - 2;
     the integrand is scaled by 4^(n-1), so that only the result can be subnormal."""
+    # imported here: numpy.polynomial takes milliseconds to import
+    from numpy.polynomial.legendre import leggauss
+
     total, pieces = 0.0, _lower_half(n, lo, hi)
-    t, w = _gauss_legendre(n) if pieces else ((), ())
+    t, w = leggauss(n) if pieces else ((), ())
     for a, b in pieces:
         x = a + (b - a) / 2 * (1.0 + t)
         total += (b - a) / 2 * float(w @ (4.0 * x * (1.0 - x)) ** (n - 1))

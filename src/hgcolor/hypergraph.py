@@ -82,11 +82,15 @@ class Hypergraph:
         return out
 
     @cached_property
-    def _rests(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each vertex v of a valid hypergraph, the distinct bitmasks
-        e - {v} over the edges e of v, in edge order, each paired with one
-        vertex of it (the edge's first, or its last when that is v): the
-        exact oracles' blocking table, which does not depend on r."""
+    def rest_masks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The exact oracles' blocking table, for a valid hypergraph: for
+        each vertex v, the distinct bitmasks e - {v} over the edges e of v,
+        in edge order, each paired with one vertex of it (the edge's first,
+        or its last when that is v). Once such a mask is colored, that
+        vertex's color class is the only one that can hold all of it, so
+        color c is blocked for v when the mask lies inside class c; an
+        empty mask (an edge of v alone) blocks every color. The table does
+        not depend on r, so it is built once per instance."""
         rests: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
         for e in self.edges:
             mask = sum(1 << u for u in e)

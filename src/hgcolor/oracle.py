@@ -3,16 +3,20 @@ coloring counts, and the exact greedy success probability over all vertex
 orderings (the algorithm depends on birth times only through the induced
 order, so averaging over permutations is exact).
 
-All three oracles search partial colorings held as color-class bitmasks
-(:class:`_ClassMasks`): one vertex mask per color and the mask of
-uncolored vertices. A color c is blocked for an uncolored vertex v exactly
-when some edge e of v has e - {v} colored and inside class c; an edge of
-v alone blocks every color. This is the greedy module's rule, so the
-searches block exactly the colors the greedy driver does. The masks e - {v}
-are tabled once per hypergraph (cached on it, since they do not depend on
-r), and the census and the search each test the rule, and place and undo a
-vertex on the class masks, inline in their recursion, which passes the
-uncolored mask down.
+All three oracles search partial colorings held as color-class bitmasks:
+`colors[v]` (0 for uncolored), `classes[j]` with bit v set when v has
+color j, and the mask of uncolored vertices, which the recursion passes
+down. A color c is blocked for an uncolored vertex v exactly when some
+edge e of v has e - {v} colored and inside class c; an edge of v alone
+blocks every color. This is the greedy module's rule, so the searches
+block exactly the colors the greedy driver does. The masks e - {v} come
+from :attr:`Hypergraph.rest_masks`, built once per hypergraph, and the
+census and the search each test the rule, and place and undo a vertex on
+the class masks, inline in their recursion. Each blocked color is another
+vertex's, so neither the greedy rule nor a first-use search takes a color
+past min(r, V), and no class past it exists. Past the largest degree + 1,
+r is cut as in the greedy module's edge state: only an edge of v alone
+blocks every color, as the mask -1.
 
 Colorability and counting are one backtracking search. Colors no vertex
 has used yet are interchangeable, so each vertex tries at most one color
@@ -84,30 +88,10 @@ def _budgeted(name: str, h: Hypergraph, r: int, budget: int) -> Iterator[str]:
         ) from None
 
 
-class _ClassMasks:
-    """A partial coloring as color-class bitmasks: `colors[v]` (0 for
-    uncolored) and `classes[j]` with bit v set when v has color j; the
-    searches pass the mask of uncolored vertices down their recursion and
-    place and undo a vertex on both inline. The blocking rule reads
-    `rests[v]`, the hypergraph's cached table of the distinct masks e - {v}
-    over v's edges e, each with one of its vertices: once the mask is
-    colored, that vertex's class is the only one that can hold it.
-
-    Each blocked color is another vertex's, so neither the greedy rule nor
-    a first-use search takes a color past min(r, V), and no class past it
-    exists. Past the largest degree + 1, r is cut as in the greedy module's
-    edge state: only an edge of v alone blocks every color, as the mask -1.
-    """
-
-    __slots__ = ("colors", "classes", "rests", "all_blocked")
-
-    def __init__(self, h: Hypergraph, r: int):
-        v_count = h.vertex_count
-        self.colors = [0] * v_count
-        self.classes = [0] * (min(r, v_count) + 1)
-        self.rests = h._rests
-        cut = _usable_colors(h, r) < r
-        self.all_blocked = -1 if cut else ((1 << r) - 1) << 1
+def _all_blocked(h: Hypergraph, r: int) -> int:
+    """The blocked mask of an edge of v alone: colors 1..r, or -1 where r
+    is cut (see the module docstring)."""
+    return -1 if _usable_colors(h, r) < r else ((1 << r) - 1) << 1
 
 
 def _proper_colorings(
@@ -136,10 +120,8 @@ def _proper_colorings(
             return (0, None) if h.edges else (1, [1] * v_count)
         if v_count == 0:
             return 1, []
-        state = _ClassMasks(h, r)
-        all_blocked, colors, classes, rests = (
-            state.all_blocked, state.colors, state.classes, state.rests
-        )
+        colors, classes = [0] * v_count, [0] * (min(r, v_count) + 1)
+        rests, all_blocked = h.rest_masks, _all_blocked(h, r)
         last = v_count - 1
         # falling[c] = r(r-1)...(r-c+1) colorings per pattern of c colors
         falling = list(accumulate(range(r, r - min(r, v_count), -1), mul, initial=1))
@@ -225,10 +207,8 @@ def greedy_success_exact(
         raise ValueError(f"need r >= 2, got {r}")
     with _budgeted("ordering census", h, r, budget) as over:
         v_count = h.vertex_count
-        state = _ClassMasks(h, r)
-        all_blocked, colors, classes, rests = (
-            state.all_blocked, state.colors, state.classes, state.rests
-        )
+        colors, classes = [0] * v_count, [0] * (min(r, v_count) + 1)
+        rests, all_blocked = h.rest_masks, _all_blocked(h, r)
         # the memo key is the partial coloring as a base-(r+1) number whose
         # digit v is colors[v], 0 for uncolored
         weight = [(r + 1) ** v for v in range(v_count)]

@@ -38,8 +38,11 @@ def triangle():
 
 
 @st.composite
-def hypergraphs(draw, max_vertices=8, max_edges=8, min_edge_size=1, max_edge_size=4):
-    """Valid hypergraphs: nonempty duplicate-free edges over dense vertices."""
+def hypergraphs(
+    draw, max_vertices=8, max_edges=8, min_edge_size=1, max_edge_size=4, duplicates=False
+):
+    """Valid hypergraphs: nonempty edges of distinct vertices over dense
+    vertices; with `duplicates`, up to three repeats of drawn edges follow."""
     v = draw(st.integers(min_value=max(1, min_edge_size), max_value=max_vertices))
     m = draw(st.integers(min_value=0, max_value=max_edges))
     edges = []
@@ -49,6 +52,8 @@ def hypergraphs(draw, max_vertices=8, max_edges=8, min_edge_size=1, max_edge_siz
             st.sets(st.integers(0, v - 1), min_size=size, max_size=size)
         )
         edges.append(tuple(sorted(edge)))
+    if duplicates and edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
     return Hypergraph(v, edges)
 
 

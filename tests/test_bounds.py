@@ -266,24 +266,6 @@ class TestPairConflictProbability:
         # near-empty intervals, where both routes return ~0
         assert abs(q - c) <= 1e-9 * max(abs(c), 1e-7)
 
-    def test_one_rule_per_n(self, monkeypatch):
-        from numpy.polynomial import legendre
-
-        from hgcolor.bounds import _gauss_legendre
-
-        _gauss_legendre.cache_clear()
-        built = []
-        leggauss = legendre.leggauss
-        monkeypatch.setattr(legendre, "leggauss", lambda n: built.append(n) or leggauss(n))
-        values = [pair_conflict_probability(n, 0.2, 0.7) for n in (30, 30, 7, 30, 7)]
-        assert built == [30, 7]
-        assert values[0] == values[1] == values[3] and values[2] == values[4]
-        t, w = _gauss_legendre(30)
-        assert _gauss_legendre(30)[0] is t and built == [30, 7]
-        assert not t.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError):
-            t[0] = 0.0
-
     @given(st.integers(1, 50), st.floats(0.001, 0.999))
     @settings(max_examples=80, deadline=None)
     def test_middle_interval_bounded_by_p(self, n, p):

@@ -133,7 +133,7 @@ class TestSearchBudget:
     def test_refusal_leaves_the_table_unbuilt(self, oracle, name, h):
         with pytest.raises(BudgetExceededError, match=f"^{name} on {h.vertex_count} vertices"):
             oracle(h, 3)
-        assert "_rests" not in vars(h)
+        assert "rest_masks" not in vars(h)
 
 
 class TestOrderingCensus:
@@ -238,7 +238,10 @@ def naive_free_colors(h, colors, v, r):
 def naive_greedy_is_proper(h, order, r):
     colors = {}
     for v in order:
-        free = naive_free_colors(h, colors, v, r)
+        # past V + 1 colors the first V + 1 decide the step: an edge of two or
+        # more vertices blocks one color, that of a colored vertex, and a
+        # singleton edge blocks them all
+        free = naive_free_colors(h, colors, v, min(r, h.vertex_count + 1))
         colors[v] = free[0] if free else r
     return is_proper(h, Coloring([colors[v] for v in range(h.vertex_count)], r))[0]
 
@@ -249,13 +252,18 @@ def proper_colorings_lex(h, r):
             yield colors
 
 
-@given(hypergraphs(max_vertices=6), st.integers(2, 4))
+# r = 10^20 (and r = 4 at low degree) is cut at the largest degree + 1
+CUT_R = st.sampled_from([2, 3, 4, 10**20])
+
+
+@given(hypergraphs(max_vertices=6, duplicates=True), CUT_R)
 @settings(max_examples=30, deadline=None)
 def test_greedy_census_matches_naive_runs(h, r):
     stats = greedy_success_exact(h, r)
     orders = list(permutations(range(h.vertex_count)))
     assert stats.total_orderings == factorial(h.vertex_count) == len(orders)
     assert stats.proper_orderings == sum(naive_greedy_is_proper(h, o, r) for o in orders)
+    assert stats.proper_orderings == greedy_levels(h, r)[1]
 
 
 @given(hypergraphs(max_vertices=5), st.integers(2, 5))
@@ -268,7 +276,7 @@ def test_count_and_witness_match_enumeration(h, r):
     assert (witness.colors if ok else None) == (proper[0] if proper else None)
 
 
-@given(hypergraphs(max_vertices=6), st.sampled_from([2, 3, 4, 5, 6, 10**20]))
+@given(hypergraphs(max_vertices=6, duplicates=True), st.sampled_from([2, 3, 4, 5, 6, 10**20]))
 @settings(max_examples=60, deadline=None)
 def test_count_matches_the_partition_count(h, r):
     assert count_proper_colorings(h, r) == naive_partition_count(h, r)
@@ -297,45 +305,6 @@ def test_small_cases_match_naive_references(h, r):
     orders = list(permutations(range(h.vertex_count)))
     assert greedy_success_exact(h, r) == OrderingStatistics(
         len(orders), sum(naive_greedy_is_proper(h, o, r) for o in orders)
-    )
-
-
-def naive_greedy_census(h, r):
-    """Proper orderings of the naive greedy rule, each partial coloring
-    stepped once: the next step reads only the partial coloring, so the
-    orderings that reach one are counted together, and each finished
-    coloring is judged by is_proper. Past r = V + 1 the first V + 1 colors
-    decide the step, since an edge of two or more vertices blocks one color,
-    that of a colored vertex, and a singleton edge blocks them all."""
-    level = Counter({(): 1})  # sorted (vertex, color) pairs -> orderings
-    for _ in range(h.vertex_count):
-        reached = Counter()
-        for partial, ways in level.items():
-            colors = dict(partial)
-            for v in set(range(h.vertex_count)) - colors.keys():
-                free = naive_free_colors(h, colors, v, min(r, h.vertex_count + 1))
-                reached[tuple(sorted({**colors, v: free[0] if free else r}.items()))] += ways
-        level = reached
-    return sum(
-        ways for partial, ways in level.items()
-        if is_proper(h, Coloring([c for _, c in partial], r))[0]
-    )
-
-
-@given(hypergraphs(max_vertices=8), st.sampled_from([2, 3, 4, 10**20]), st.data())
-@settings(max_examples=100, deadline=None)
-def test_oracles_match_naive_references_with_duplicate_edges(h, r, data):
-    # the strategy draws singleton edges; add duplicates of drawn edges, and
-    # r = 10^20 (and r = 4 at low degree) is cut at the largest degree + 1
-    if h.edges:
-        extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
-        h = Hypergraph(h.vertex_count, h.edges + tuple(extra))
-    found, first, _ = reference_search(h, r, limit=1)
-    ok, witness = is_r_colorable(h, r)
-    assert (ok, list(witness.colors) if ok else None) == (found > 0, first)
-    assert count_proper_colorings(h, r) == naive_partition_count(h, r)
-    assert greedy_success_exact(h, r) == OrderingStatistics(
-        factorial(h.vertex_count), naive_greedy_census(h, r)
     )
 
 
@@ -401,30 +370,42 @@ def test_small_budget_is_the_reference_count(h, r):
     check_budget_is_the_reference_count(h, r)
 
 
-@given(hypergraphs(max_vertices=7, max_edges=6), st.integers(1, 4))
+@given(hypergraphs(max_vertices=7, max_edges=6, duplicates=True), CUT_R | st.just(1))
 @settings(max_examples=60, deadline=None)
 def test_budget_is_the_reference_count(h, r):
     check_budget_is_the_reference_count(h, r)
 
 
-def reference_census_tried(h, r):
-    """The ordering census's tried assignments, counted level by level: each
-    distinct partial coloring that greedy steps reach and that leaves k >= 1
-    vertices uncolored tries k greedy assignments. A step gives an uncolored
-    vertex its smallest free color; a vertex with none ends no coloring."""
-    level = {frozenset()}  # partial colorings as sets of (vertex, color)
+def greedy_levels(h, r):
+    """The ordering census stepped level by level: (tried assignments,
+    proper orderings). Each distinct partial coloring that greedy steps
+    reach and that leaves k >= 1 vertices uncolored tries k greedy
+    assignments. A step gives an uncolored vertex its smallest free color
+    (read from the first min(r, V + 1), as in naive_greedy_is_proper); a
+    vertex with none ends the orderings that reach it, and each finished
+    coloring is judged by is_proper."""
+    level = Counter({frozenset(): 1})  # sets of (vertex, color) -> orderings
     tried = 0
     for left in range(h.vertex_count, 0, -1):
         tried += left * len(level)
-        reached = set()
-        for partial in level:
+        reached = Counter()
+        for partial, ways in level.items():
             colors = dict(partial)
             for v in set(range(h.vertex_count)) - colors.keys():
-                free = naive_free_colors(h, colors, v, r)
+                free = naive_free_colors(h, colors, v, min(r, h.vertex_count + 1))
                 if free:
-                    reached.add(partial | {(v, free[0])})
+                    reached[partial | {(v, free[0])}] += ways
         level = reached
-    return tried
+    proper = sum(
+        ways for partial, ways in level.items()
+        if is_proper(h, Coloring([c for _, c in sorted(partial)], r))[0]
+    )
+    return tried, proper
+
+
+def reference_census_tried(h, r):
+    """The ordering census's tried assignments, from :func:`greedy_levels`."""
+    return greedy_levels(h, r)[0]
 
 
 def check_census_budget_is_the_reference_count(h, r):
@@ -449,7 +430,7 @@ def test_small_census_budget_is_the_reference_count(h, r):
     check_census_budget_is_the_reference_count(h, r)
 
 
-@given(hypergraphs(max_vertices=7, max_edges=6), st.integers(2, 4))
+@given(hypergraphs(max_vertices=7, max_edges=6, duplicates=True), CUT_R)
 @settings(max_examples=60, deadline=None)
 def test_census_budget_is_the_reference_count(h, r):
     check_census_budget_is_the_reference_count(h, r)
@@ -468,16 +449,13 @@ def fresh_rests(h):
     return tuple(table)
 
 
-@given(hypergraphs(max_vertices=8), st.data())
+@given(hypergraphs(max_vertices=8, duplicates=True))
 @settings(max_examples=100, deadline=None)
-def test_cached_table_is_a_fresh_build(h, data):
-    # the strategy draws singleton edges; add duplicates of drawn edges
-    if h.edges:
-        extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
-        h = Hypergraph(h.vertex_count, h.edges + tuple(extra))
-    assert "_rests" not in vars(h)
-    table = h._rests
-    assert table is h._rests
+def test_cached_table_is_a_fresh_build(h):
+    # the strategy draws singleton edges and repeats drawn edges
+    assert "rest_masks" not in vars(h)
+    table = h.rest_masks
+    assert table is h.rest_masks
     assert tuple(tuple(rest for rest, _ in row) for row in table) == fresh_rests(h)
     # each representative is a vertex of its nonempty mask: its class is
     # the only one that can hold the mask
@@ -506,12 +484,12 @@ def answers_at_the_thresholds(h, r, names):
     return answers
 
 
-@given(hypergraphs(max_vertices=6, max_edges=6), st.integers(2, 4))
+@given(hypergraphs(max_vertices=6, max_edges=6, duplicates=True), st.integers(2, 4))
 @settings(max_examples=30, deadline=None)
 def test_answers_do_not_depend_on_a_filled_table(h, r):
     def fresh():
         copy = Hypergraph(h.vertex_count, h.edges)
-        assert "_rests" not in vars(copy)
+        assert "rest_masks" not in vars(copy)
         return copy
 
     # the first call of each order builds the table; the later ones read it
@@ -520,7 +498,7 @@ def test_answers_do_not_depend_on_a_filled_table(h, r):
     for order in orders[1:]:
         assert answers_at_the_thresholds(fresh(), r, order) == expected
     filled = fresh()
-    filled._rests
+    filled.rest_masks
     assert answers_at_the_thresholds(filled, r, orders[0]) == expected
 
 

@@ -86,27 +86,3 @@ def test_engine_stages_times_every_stage(chains):
     assert all(float(line.split()[1]) > 0 for line in lines[2:-1])
     paired, swept, failed = (float(x.split()[0]) for x in lines[-1].removeprefix("rows per batch: ").split(", "))
     assert failed <= swept <= paired
-
-
-def test_oracle_stages_counts_the_tried_assignments(tmp_path):
-    path = tmp_path / "triangle.hg"
-    path.write_text("3 3\n0 1\n1 2\n0 2\n")
-    proc = run_script("oracle_stages.py", "--file", str(path), "--reps", "3")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("1 instances, 3 reps;")
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
-    # the census meets 1 + 3 + 6 partial colorings with 3, 2 and 1 vertices
-    # left; colorability and counting exhaust the same tree, 1 + 2 + 2
-    assert {name: int(row[1]) for name, row in rows.items()} == {
-        "greedy_success_exact": 15, "is_r_colorable": 5, "count_proper_colorings": 5,
-    }
-    assert all(float(row[0]) > 0 and float(row[2]) > 0 for row in rows.values())
-
-
-def test_oracle_stages_reports_an_oracle_over_budget():
-    proc = run_script("oracle_stages.py", "--random", "9", "3", "12", "--reps", "1", "--budget", "50")
-    assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: line for line in proc.stdout.splitlines()[2:]}
-    assert rows["greedy_success_exact"].endswith("over budget 50 on 1 of 1 instances")
-    assert rows["is_r_colorable"].split()[2] == "22"
